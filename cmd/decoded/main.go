@@ -223,19 +223,19 @@ func buildOnline(cfg *cliConfig) (*experiment.Online, error) {
 	return pl.NewOnline(experiment.Config{
 		Code: l.Code, Arch: fpnArch, Basis: cfg.basis, Rounds: cfg.rounds,
 		P: cfg.p, Seed: cfg.seed, Decoder: cfg.decoder, Fallback: cfg.fallback,
+		DecodeTimeout: cfg.decTimeout,
 	})
 }
 
 func runServer(cfg *cliConfig, o *experiment.Online) int {
 	opt := rtd.Options{
-		Online:        o,
-		MaxStreams:    cfg.maxStreams,
-		QueueDepth:    cfg.queueDepth,
-		Workers:       cfg.workers,
-		DecodeTimeout: cfg.decTimeout,
-		ReadTimeout:   cfg.readTimeout,
-		WriteTimeout:  cfg.writeTimeout,
-		Log:           os.Stderr,
+		Online:       o,
+		MaxStreams:   cfg.maxStreams,
+		QueueDepth:   cfg.queueDepth,
+		Workers:      cfg.workers,
+		ReadTimeout:  cfg.readTimeout,
+		WriteTimeout: cfg.writeTimeout,
+		Log:          os.Stderr,
 	}
 	var latlog *checkpoint.LatencyLog
 	if cfg.latlogPath != "" {

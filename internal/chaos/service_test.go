@@ -169,6 +169,7 @@ func TestServiceDecoderStallPlanDegrades(t *testing.T) {
 	}
 	cfg := baseConfig(code)
 	cfg.Fallback = []experiment.DecoderKind{experiment.PlainMWPM}
+	cfg.DecodeTimeout = 30 * time.Millisecond
 	hung := &chaos.HungDecoder{HangAt: 0, Release: make(chan struct{})}
 	defer close(hung.Release)
 	cfg.WrapDecoder = func(k experiment.DecoderKind, dec experiment.Decoder) experiment.Decoder {
@@ -182,7 +183,7 @@ func TestServiceDecoderStallPlanDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := rtd.NewServer(rtd.Options{Online: o, Workers: 1, DecodeTimeout: 30 * time.Millisecond})
+	s, err := rtd.NewServer(rtd.Options{Online: o, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,6 @@ type Restriction struct {
 	// which "only handles flag edges in the MWPM stage".
 	FlagLifting bool
 
-	// Debug, when non-nil, receives a trace of each decode.
-	Debug func(format string, args ...interface{})
-
 	classes []dem.Class
 	pM      float64
 	numObs  int
@@ -283,10 +280,6 @@ func (d *Restriction) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr
 				}
 				e := d.latEdges[li][ei]
 				em[e.class]++
-				if d.Debug != nil {
-					d.Debug("lattice %d: path edge class %d dets=%v obs=%v w=%.2f",
-						li, e.class, d.classes[e.class].Dets, rep[e.class].Obs, weight[e.class])
-				}
 				if e.u == cur {
 					cur = e.v
 				} else {

@@ -32,7 +32,8 @@
 // deadline is abandoned (its goroutine leaks until it returns on its
 // own) and retried deterministically under the fallback chain — same
 // seed, same firstBlock — with every affected block explicitly counted
-// in Result.TimeoutBlocks and Result.DegradedBlocks.
+// in Result.TimeoutBlocks and Result.DegradedBlocks. Both paths are the
+// decode-attempt ladder (ladder.go).
 package experiment
 
 import (
@@ -40,11 +41,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
@@ -398,7 +397,7 @@ type PooledDecoder struct {
 // the decoder package already converts its own invariant panics into
 // errors at each DecodeWith boundary, and anything that still unwinds
 // through here (a buggy third-party decoder, a sampler-contract
-// violation) must reach runShard's recover so the whole shard is
+// violation) must reach the ladder's recover so the whole shard is
 // quarantined with a repro instead of miscounted as per-shot logical
 // errors.
 func (d *PooledDecoder) Decode(bit func(int) bool) ([]bool, error) {
@@ -412,7 +411,7 @@ func (d *PooledDecoder) Decode(bit func(int) bool) ([]bool, error) {
 // seam, returning ok=false when the pooled decoder has no batch path
 // (the caller then runs the scalar loop). A contract error from
 // DecodeBatch is an engine bug, not a per-shot decode failure: it
-// panics so runShard quarantines the whole shard with a repro.
+// panics so the ladder quarantines the whole shard with a repro.
 func (d *PooledDecoder) DecodeBlock(res *sim.Result, firstShot, n int) (errs int, ok bool) {
 	if d.sc == nil || d.pool.batch == nil {
 		return 0, false
@@ -486,13 +485,6 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 	if workers > numShards {
 		workers = numShards
 	}
-	blockLen := func(b int) int {
-		if n := cfg.Shots - b*blockShots; n < blockShots {
-			return n
-		}
-		return blockShots
-	}
-
 	var (
 		nextShard atomic.Int64
 		stop      atomic.Bool
@@ -502,9 +494,6 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 		toBlocks int // primary attempt hit the decode deadline
 		dgBlocks int // rescued by a fallback after a timeout
 		serrs    []ShardError
-
-		fbMu    sync.Mutex
-		fbPools map[DecoderKind]*DecoderPool
 	)
 	tryCommit := func() {
 		fr.Commit()
@@ -512,132 +501,21 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 			stop.Store(true)
 		}
 	}
-	// fallbackPool lazily builds the shared pool for one fallback kind;
-	// a kind whose construction fails is remembered as nil and skipped.
-	fallbackPool := func(k DecoderKind) *DecoderPool {
-		fbMu.Lock()
-		defer fbMu.Unlock()
-		if p, ok := fbPools[k]; ok {
-			return p
-		}
-		var p *DecoderPool
-		if mkDecoder != nil {
-			if d, err := mkDecoder(k); err == nil {
-				p = NewDecoderPool(d)
-			}
-		}
-		if fbPools == nil {
-			fbPools = map[DecoderKind]*DecoderPool{}
-		}
-		fbPools[k] = p
-		return p
-	}
-	// shardRes bundles the resources one shard attempt owns end-to-end:
-	// the sampler, the per-block counts buffer and the decode state.
-	// Without a deadline each worker reuses one shardRes for its whole
-	// life, exactly as before. Under a deadline an attempt that misses it
-	// is abandoned wholesale — the stuck goroutine keeps its shardRes
-	// (and its pooled scratch, deliberately leaked to it) while the
-	// worker builds a fresh one — so no buffer is ever shared between a
-	// live attempt and a dead one.
-	type shardRes struct {
-		smp    *sim.BlockSampler
-		counts []int32
-		sc     shotCounter
-	}
-	newRes := func(p *DecoderPool) *shardRes {
-		r := &shardRes{smp: sim.NewBlockSampler(c, shardBlocks), counts: make([]int32, shardBlocks)}
-		r.sc = shotCounter{c: c, dec: p.Get()}
-		r.sc.bit = r.sc.detectorBit // one closure per attempt owner, not per shot
-		return r
-	}
-	// runShard samples and counts blocks [first, end) into res's private
-	// counts buffer, converting any panic below it — decoder, matching,
-	// sampler — into a ShardError instead of unwinding the process.
-	runShard := func(res *shardRes, sh, first, end int, decName string) (done int, serr *ShardError) {
-		fail := func(v any) *ShardError {
-			return &ShardError{
-				Seed: cfg.Seed, Shard: sh, FirstBlock: first, Blocks: end - first,
-				Decoder: decName, PanicValue: v, Stack: debug.Stack(),
-			}
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				serr = fail(r)
-			}
-		}()
-		shardLen := blockLen(end-1) + (end-first-1)*blockShots
-		if err := res.smp.Validate(first, shardLen); err != nil {
-			// Guarded call site: an impossible shard shape is an engine
-			// bug; quarantine it instead of tripping the sampler panic.
-			return first, fail(err)
-		}
-		res.sc.res = res.smp.Run(first, shardLen, cfg.Seed)
-		for done = first; done < end && !stop.Load(); done++ {
-			res.counts[done-first] = int32(res.sc.countShots((done-first)*blockShots, blockLen(done)))
-		}
-		return done, nil
-	}
-	// publish flushes a successful attempt's counts to the frontier. It
-	// runs on the worker, never on an attempt goroutine, so an abandoned
-	// (timed-out) attempt can never publish a half-decoded shard after a
-	// fallback's result has already landed.
-	publish := func(res *shardRes, first, done int) {
-		for b := first; b < done; b++ {
-			fr.Mark(b, int(res.counts[b-first]))
-		}
-	}
-	// attempt runs one shard attempt, under Config.DecodeTimeout when it
-	// is set, and publishes the counts on success. timedOut reports that
-	// the attempt was abandoned at the deadline; its res — still owned by
-	// the stuck goroutine — must never be touched again.
-	attempt := func(res *shardRes, sh, first, end int, decName string) (serr *ShardError, timedOut bool) {
-		if cfg.DecodeTimeout <= 0 {
-			done, serr := runShard(res, sh, first, end, decName)
-			if serr == nil {
-				publish(res, first, done)
-			}
-			return serr, false
-		}
-		type outcome struct {
-			done int
-			serr *ShardError
-		}
-		ch := make(chan outcome, 1) // buffered: an abandoned attempt's send never blocks
-		go func() {
-			done, serr := runShard(res, sh, first, end, decName)
-			ch <- outcome{done, serr}
-		}()
-		timer := time.NewTimer(cfg.DecodeTimeout)
-		defer timer.Stop()
-		var o outcome
-		select {
-		case o = <-ch:
-		case <-timer.C:
-			select { // photo finish: a result that just landed beats the deadline
-			case o = <-ch:
-			default:
-				return &ShardError{
-					Seed: cfg.Seed, Shard: sh, FirstBlock: first, Blocks: end - first,
-					Decoder: decName, Timeout: true,
-					PanicValue: fmt.Errorf("%w (DecodeTimeout=%v)", ErrDecodeTimeout, cfg.DecodeTimeout),
-				}, true
-			}
-		}
-		if o.serr == nil {
-			publish(res, first, o.done)
-		}
-		return o.serr, false
-	}
-
-	pool := NewDecoderPool(dec)
+	lad := newLadder(cfg, dec, mkDecoder)
+	halt := stop.Load
+	// Every rung redoes the primary's exact work (same seed, same
+	// firstBlock), so a rescued shard is bit-identical to one the
+	// fallback decoded from the start.
+	try := func(res *shardRes) ([]int, error) { return res.count(cfg.Seed, halt) }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := newRes(pool)
-			defer func() { res.sc.dec.Release() }() // res is reassigned after a timeout
+			var first, shots int // the shard being climbed
+			open := func(p *DecoderPool) *shardRes { return newShardRes(c, shardBlocks, p.Get(), first, shots) }
+			res := open(lad.pools.primary) // reused until an attempt abandoned at its deadline keeps it
+			defer func() { res.Release() }()
 			for !stop.Load() {
 				if ctx.Err() != nil {
 					// Cancellation is observed at shard boundaries; the
@@ -649,7 +527,7 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 				if sh >= numShards {
 					return
 				}
-				first := start + sh*shardBlocks
+				first = start + sh*shardBlocks
 				if first >= fr.Limit() {
 					// Nothing at or past a failed shard can ever commit.
 					return
@@ -658,49 +536,31 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 				if end > totalBlocks {
 					end = totalBlocks
 				}
-				serr, timedOut := attempt(res, sh, first, end, cfg.Decoder.String())
-				if timedOut {
-					res = newRes(pool)
-					mu.Lock()
+				shots = min(end*blockShots, cfg.Shots) - first*blockShots
+				res.first, res.shots = first, shots
+				out := Climb(lad, &res, open, try)
+				failed := out.Err != nil || out.Verdict.Failed()
+				mu.Lock()
+				if out.Verdict.TimedOut() {
 					toBlocks += end - first
-					mu.Unlock()
 				}
-				if serr != nil {
-					for _, k := range cfg.Fallback {
-						fp := fallbackPool(k)
-						if fp == nil {
-							continue
-						}
-						// Each fallback attempt gets its own shardRes so a
-						// timed-out attempt can be abandoned without
-						// poisoning the next one. The retry is exactly the
-						// primary's work — same seed, same firstBlock — so
-						// a rescued shard is bit-identical to a healthy one
-						// decoded by the fallback from the start.
-						fres := newRes(fp)
-						ferr, fTimedOut := attempt(fres, sh, first, end, k.String())
-						if !fTimedOut {
-							fres.sc.dec.Release()
-						}
-						if ferr == nil {
-							mu.Lock()
-							if timedOut {
-								dgBlocks += end - first
-							} else {
-								fbBlocks += end - first
-							}
-							mu.Unlock()
-							serr = nil
-							break
-						}
-					}
+				switch {
+				case failed:
+					serrs = append(serrs, shardError(cfg, sh, first, end, out))
+				case out.Verdict == VerdictRescued:
+					fbBlocks += end - first
+				case out.Verdict == VerdictDegraded:
+					dgBlocks += end - first
 				}
-				if serr != nil {
-					mu.Lock()
-					serrs = append(serrs, *serr)
-					mu.Unlock()
+				mu.Unlock()
+				if failed {
 					fr.Quarantine(first)
 					continue
+				}
+				// Published by the worker, never an attempt goroutine, so an
+				// abandoned attempt cannot publish after a fallback's result.
+				for i, errs := range out.Val {
+					fr.Mark(first+i, errs)
 				}
 				tryCommit()
 			}
@@ -711,15 +571,7 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 	mu.Lock()
 	defer mu.Unlock()
 	sort.Slice(serrs, func(i, j int) bool { return serrs[i].FirstBlock < serrs[j].FirstBlock })
-	memoH, memoM := pool.MemoStats()
-	//fpnvet:orderless commutative sum of per-pool counters; order cannot affect the total
-	for _, fp := range fbPools {
-		if fp != nil {
-			h, m := fp.MemoStats()
-			memoH += h
-			memoM += m
-		}
-	}
+	memoH, memoM := lad.pools.memoStats()
 	p := fr.State()
 	finalized := fr.Finalized()
 	return engineOut{
@@ -737,12 +589,66 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 	}
 }
 
+// shardError reports a shard no rung could decode.
+func shardError(cfg Config, sh, first, end int, out Outcome[[]int]) ShardError {
+	se := ShardError{Seed: cfg.Seed, Shard: sh, FirstBlock: first, Blocks: end - first, Decoder: out.Kind.String()}
+	switch {
+	case out.Err != nil:
+		se.PanicValue = out.Err
+	case out.Verdict == VerdictDeadline:
+		se.Timeout, se.PanicValue = true, fmt.Errorf("%w (DecodeTimeout=%v)", ErrDecodeTimeout, cfg.DecodeTimeout)
+	default:
+		se.PanicValue, se.Stack = out.Fault.Value, out.Fault.Stack
+	}
+	return se
+}
+
 // stopSatisfied evaluates the early-stop criteria on the committed
 // prefix. The CI criterion requires at least one observed error so that
 // deep-BER points (whose whole purpose is resolving a tiny rate) run
 // their full shot budget instead of stopping on an empty estimate.
 func stopSatisfied(cfg Config, errs, shots int) bool {
 	return stopCriteria(cfg.TargetErrors, cfg.MaxCI, errs, shots)
+}
+
+// shardRes is all one shard attempt owns, so an attempt abandoned at
+// its deadline shares no buffer with a live one.
+type shardRes struct {
+	first, shots int // first 64-shot block, shots from it on
+	smp          *sim.BlockSampler
+	counts       []int
+	sc           shotCounter
+}
+
+func newShardRes(c *circuit.Circuit, blocks int, dec *PooledDecoder, first, shots int) *shardRes {
+	r := &shardRes{first: first, shots: shots, smp: sim.NewBlockSampler(c, blocks), counts: make([]int, blocks)}
+	r.sc = shotCounter{c: c, dec: dec}
+	r.sc.bit = r.sc.detectorBit // one closure per owner, not per shot
+	return r
+}
+
+// Release returns the decode scratch to its pool.
+func (r *shardRes) Release() { r.sc.dec.Release() }
+
+// count samples the shard and counts each 64-shot block's logical
+// errors, checking halt before every block, and returns the counts of
+// the blocks it finished. It runs on a ladder rung, which recovers any
+// panic below it into a Fault the caller reports with the shard's
+// (seed, firstBlock) repro; a shard shape the sampler would panic on is
+// returned as an error instead.
+func (r *shardRes) count(seed int64, halt func() bool) ([]int, error) {
+	if err := r.smp.Validate(r.first, r.shots); err != nil {
+		return nil, err
+	}
+	r.sc.res = r.smp.Run(r.first, r.shots, seed)
+	n := (r.shots + blockShots - 1) / blockShots
+	for b := 0; b < n; b++ {
+		if halt() {
+			return r.counts[:b], nil
+		}
+		r.counts[b] = r.sc.countShots(b*blockShots, min(blockShots, r.shots-b*blockShots))
+	}
+	return r.counts[:n], nil
 }
 
 // shotCounter is one worker's decode-and-count state. The detector-bit

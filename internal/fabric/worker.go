@@ -98,13 +98,10 @@ type worker struct {
 	// goroutine echoes it concurrently with the main loop.
 	epoch atomic.Int64
 
-	fp      string
-	cfg     experiment.Config
-	pl      *experiment.Pipeline
-	runner  *experiment.BlockRunner
-	rescued map[experiment.DecoderKind]*experiment.BlockRunner // fallback runners, built lazily per point
-	ttl     time.Duration
-	fails   map[int]int // per-firstBlock decode failures; repeats are abandoned without re-decoding
+	fp     string
+	runner *experiment.BlockRunner
+	ttl    time.Duration
+	fails  map[int]int // per-firstBlock decode failures; repeats are abandoned without re-decoding
 }
 
 // wait pauses for d or until ctx is cancelled, whichever comes first.
@@ -271,35 +268,16 @@ func (w *worker) prepare(jm jobMsg) error {
 	if err != nil {
 		return err
 	}
+	cfg.Fallback = w.opt.Fallback // a scheduling knob: the fingerprint stays put
 	br, err := pl.NewBlockRunner(cfg)
 	if err != nil {
 		return err
 	}
-	w.fp, w.cfg, w.pl, w.runner = jm.Fingerprint, cfg, pl, br
-	w.fails, w.rescued = map[int]int{}, nil
+	w.fp, w.runner = jm.Fingerprint, br
+	w.fails = map[int]int{}
 	w.ttl = time.Duration(jm.LeaseTTLMs) * time.Millisecond
 	w.logf("joined point %s (%d blocks)", jm.Fingerprint, br.TotalBlocks())
 	return nil
-}
-
-// fallbackRunner lazily builds (and caches for the point) a BlockRunner
-// that decodes with kind instead of the primary decoder — the
-// coordinator counts blocks completed this way as FallbackBlocks.
-func (w *worker) fallbackRunner(kind experiment.DecoderKind) (*experiment.BlockRunner, error) {
-	if br, ok := w.rescued[kind]; ok {
-		return br, nil
-	}
-	cfg := w.cfg
-	cfg.Decoder, cfg.Fallback = kind, nil
-	br, err := w.pl.NewBlockRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if w.rescued == nil {
-		w.rescued = map[experiment.DecoderKind]*experiment.BlockRunner{}
-	}
-	w.rescued[kind] = br
-	return br, nil
 }
 
 // work decodes one leased shard and streams its counts back,
@@ -371,22 +349,12 @@ func (w *worker) decode(ctx context.Context, lm leaseMsg) ([]int, string, error)
 		counts, err := w.runner.CountBlocks(ctx, lm.FirstBlock, lm.Blocks)
 		return counts, "", err
 	}
-	var err error
-	for _, kind := range w.opt.Fallback {
-		var br *experiment.BlockRunner
-		if br, err = w.fallbackRunner(kind); err != nil {
-			continue
-		}
-		var counts []int
-		if counts, err = br.CountBlocks(ctx, lm.FirstBlock, lm.Blocks); err == nil {
-			w.logf("shard %d rescued by fallback decoder %s", lm.Shard, kind)
-			return counts, kind.String(), nil
-		}
-		if ctx.Err() != nil {
-			return nil, "", err
-		}
+	counts, kind, err := w.runner.RescueBlocks(ctx, lm.FirstBlock, lm.Blocks)
+	if err != nil {
+		return nil, "", fmt.Errorf("fabric: fallback chain exhausted on shard %d: %w", lm.Shard, err)
 	}
-	return nil, "", fmt.Errorf("fabric: fallback chain exhausted on shard %d: %w", lm.Shard, err)
+	w.logf("shard %d rescued by fallback decoder %s", lm.Shard, kind)
+	return counts, kind.String(), nil
 }
 
 // abandon hands a lease back with the failure as the repro reason. Best

@@ -13,10 +13,9 @@
 //     get an immediate 429) and a bounded decode queue — a window that
 //     finds the queue full is shed with an explicit per-window verdict
 //     instead of silently adding latency (ShedRounds);
-//   - decode deadlines: a window that outlives DecodeTimeout abandons
-//     its decoder (the engine's leak-and-reacquire discipline) and
-//     walks the fallback chain (TimeoutRounds, DegradedRounds,
-//     FailedRounds);
+//   - decode deadlines: a window that outlives Config.DecodeTimeout
+//     climbs the sweep engine's decode-attempt ladder (TimeoutRounds,
+//     DegradedRounds, FailedRounds);
 //   - slow clients: every read and write carries a deadline, so a hung
 //     client costs one stream slot for ReadTimeout, not forever
 //     (HungClients), and a client that stops reading its corrections is
@@ -65,10 +64,6 @@ type Options struct {
 	// state for (oldest evicted first); 0 means 64. A stream consumes a
 	// session slot only when it named an id and died mid-stream.
 	MaxSessions int
-	// DecodeTimeout is the per-window decode deadline; a primary
-	// attempt that misses it is abandoned to the fallback chain. 0
-	// means the serving Config.DecodeTimeout (possibly none).
-	DecodeTimeout time.Duration
 	// ReadTimeout bounds the wait for each request frame; a client
 	// silent for longer is a hung client and its stream is closed. 0
 	// means 30s.
@@ -139,17 +134,17 @@ type counters struct {
 // Server is the online decode service. Build with NewServer, expose
 // Handler over any net/http server, Drain on shutdown, then Close.
 type Server struct {
-	opt      Options            //fpnvet:unguarded immutable after NewServer
-	o        *experiment.Online //fpnvet:unguarded immutable after NewServer
-	clock    Clock              //fpnvet:unguarded immutable after NewServer
-	fp       string             //fpnvet:unguarded immutable after NewServer
-	decName  string             //fpnvet:unguarded immutable after NewServer
-	fallback []experiment.DecoderKind
-	rpw      int //fpnvet:unguarded immutable after NewServer (rounds per window: the circuit's full round span)
-	numDet   int
-	roundOf  []int // detector index → round
+	opt     Options            //fpnvet:unguarded immutable after NewServer
+	o       *experiment.Online //fpnvet:unguarded immutable after NewServer
+	ladder  *experiment.Ladder //fpnvet:unguarded immutable after NewServer
+	clock   Clock              //fpnvet:unguarded immutable after NewServer
+	fp      string             //fpnvet:unguarded immutable after NewServer
+	decName string             //fpnvet:unguarded immutable after NewServer
+	rpw     int                //fpnvet:unguarded immutable after NewServer (rounds per window: the circuit's full round span)
+	numDet  int
+	roundOf []int // detector index → round
 
-	decTimeout, readTimeout, writeTimeout time.Duration //fpnvet:unguarded immutable after NewServer
+	readTimeout, writeTimeout time.Duration //fpnvet:unguarded immutable after NewServer
 
 	queue   chan *window
 	admit   chan struct{}
@@ -197,11 +192,9 @@ func NewServer(opt Options) (*Server, error) {
 		clock:        opt.Clock,
 		fp:           cfg.Fingerprint(),
 		decName:      cfg.Decoder.String(),
-		fallback:     cfg.Fallback,
 		rpw:          rpw,
 		numDet:       len(c.Detectors),
 		roundOf:      roundOf,
-		decTimeout:   opt.DecodeTimeout,
 		readTimeout:  opt.ReadTimeout,
 		writeTimeout: opt.WriteTimeout,
 		streams:      map[*stream]struct{}{},
@@ -216,9 +209,7 @@ func NewServer(opt Options) (*Server, error) {
 	if s.clock == nil {
 		s.clock = wallClock{}
 	}
-	if s.decTimeout <= 0 {
-		s.decTimeout = cfg.DecodeTimeout
-	}
+	s.ladder = opt.Online.Ladder(s.clock.After)
 	if s.readTimeout <= 0 {
 		s.readTimeout = 30 * time.Second
 	}
@@ -443,6 +434,7 @@ type stream struct {
 	written    int  // result frames on the wire; writer-owned until writerDone
 	writeErr   bool // the client stopped reading; discard the rest
 	aborted    atomic.Bool
+	sawEOF     bool // the last request read reached the body's end; reader-owned
 
 	// Resume state. id and start are set while the header is processed,
 	// before the writer goroutine exists; keep accumulates every
@@ -605,6 +597,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !st.writeErr {
 		_ = st.writeFrame(Trailer{End: st.written, Drained: end.drained})
 	}
+	if !st.sawEOF {
+		// If net/http's post-handler drain reaches EOF, its background
+		// read races the next keep-alive read ("invalid concurrent
+		// Body.Read call"); an expired read deadline stops it short.
+		st.abortRead()
+	}
 }
 
 // readLine reads one request frame under a fresh read deadline.
@@ -613,7 +611,9 @@ func (s *Server) readLine(st *stream, br *bufio.Reader) ([]byte, error) {
 	if st.aborted.Load() {
 		_ = st.rc.SetReadDeadline(time.Unix(1, 0))
 	}
-	return br.ReadBytes('\n')
+	line, err := br.ReadBytes('\n')
+	st.sawEOF = err == io.EOF
+	return line, err
 }
 
 // classifyReadErr sorts a request read failure into drain, hung client
@@ -741,6 +741,13 @@ func (s *Server) readRounds(st *stream, br *bufio.Reader) streamEnd {
 			if win != nil {
 				return streamEnd{torn: true, droppedRounds: partial, fatal: fmt.Sprintf("rtd: trailer inside window %d (round %d of %d)", win.idx, partial, s.rpw)}
 			}
+			// Read to EOF, so net/http has nothing left to drain.
+			switch line, err := s.readLine(st, br); {
+			case len(line) > 0:
+				return streamEnd{torn: true, fatal: "rtd: torn stream: data after the trailer"}
+			case err != io.EOF:
+				return s.classifyReadErr(err, 0)
+			}
 			return streamEnd{drained: s.isDraining()}
 		}
 		var rr Round
@@ -818,111 +825,56 @@ func (s *Server) worker() {
 	}
 }
 
-// attemptOut is one decode attempt's verdict.
-type attemptOut struct {
-	flips    []int
-	err      error
-	panicked any
-	hasPanic bool
+// verdictStatus is each ladder verdict's per-window result status.
+var verdictStatus = [...]string{
+	experiment.VerdictOK: StatusOK, experiment.VerdictRescued: StatusDegraded, experiment.VerdictDegraded: StatusDegraded,
+	experiment.VerdictFailed: StatusFailed, experiment.VerdictDeadline: StatusDeadline,
 }
 
-// attempt runs one decode of win on pd, under the decode deadline when
-// one is set. timedOut means the attempt was abandoned: pd now belongs
-// to the stuck goroutine and must not be reused or released.
-func (s *Server) attempt(pd *experiment.PooledDecoder, win *window) (out attemptOut, timedOut bool) {
-	run := func() (o attemptOut) {
-		defer func() {
-			if r := recover(); r != nil {
-				o = attemptOut{hasPanic: true, panicked: r}
-			}
-		}()
-		corr, err := pd.Decode(win.bit)
-		if err != nil {
-			o.err = err
-			return o
-		}
-		// corr aliases the scratch arena; extract the flips before the
-		// handle decodes anything else.
-		for i, c := range corr {
-			if c {
-				o.flips = append(o.flips, i)
-			}
-		}
-		return o
-	}
-	if s.decTimeout <= 0 {
-		return run(), false
-	}
-	ch := make(chan attemptOut, 1) // buffered: an abandoned attempt's send never blocks
-	go func() { ch <- run() }()
-	timer := s.clock.After(s.decTimeout)
-	select {
-	case out = <-ch:
-	case <-timer:
-		select { // photo finish: a result that just landed beats the deadline
-		case out = <-ch:
-		default:
-			return attemptOut{}, true
-		}
-	}
-	return out, false
-}
-
-// decodeWindow runs the full degradation ladder for one window —
-// primary under deadline, then the fallback chain — and accounts for
-// every step. pd is replaced in place when the primary handle is
-// abandoned.
+// decodeWindow climbs the decode-attempt ladder for one window and
+// accounts for the verdict; pd is replaced when abandoned.
 func (s *Server) decodeWindow(pd **experiment.PooledDecoder, win *window) wres {
 	rpw := int64(s.rpw)
 	start := s.clock.Now()
-	finish := func(status, dec string, flips []int) wres {
-		lat := s.clock.Now().Sub(start)
-		s.hist.Record(lat)
-		if s.opt.OnLatency != nil {
-			s.opt.OnLatency(LatencySample{Window: win.idx, Status: status, Decoder: dec, Ns: int64(lat)})
+	out := experiment.Climb(s.ladder, pd, (*experiment.DecoderPool).Get, func(h *experiment.PooledDecoder) ([]int, error) {
+		corr, err := h.Decode(win.bit)
+		if err != nil {
+			return nil, err
 		}
-		return wres{win: win.idx, status: status, dec: dec, flips: flips}
-	}
-	out, timedOut := s.attempt(*pd, win)
-	if timedOut {
-		*pd = s.o.Acquire()
+		// corr aliases the scratch arena; extract the flips before the
+		// handle decodes anything else.
+		var flips []int
+		for i, c := range corr {
+			if c {
+				flips = append(flips, i)
+			}
+		}
+		return flips, nil
+	})
+	if out.Verdict.TimedOut() {
 		s.ctrs.timeoutRounds.Add(rpw)
-		s.logf("window %d: primary decode deadline %v exceeded, walking fallback chain", win.idx, s.decTimeout)
+		s.logf("window %d: primary decode deadline %v exceeded, walked fallback chain", win.idx, s.o.Config().DecodeTimeout)
 	}
-	if !timedOut && !out.hasPanic {
-		if out.err != nil {
-			s.ctrs.decodeErrors.Add(1)
-			return finish(StatusError, s.decName, nil)
-		}
+	if out.Fault != nil {
+		s.logf("window %d: %s decoder panicked: %v", win.idx, out.Kind, out.Fault.Value)
+	}
+	status := verdictStatus[out.Verdict]
+	switch {
+	case out.Err != nil:
+		s.ctrs.decodeErrors.Add(1)
+		status = StatusError
+	case out.Verdict.Failed():
+		s.ctrs.failedRounds.Add(rpw)
+	default:
 		s.ctrs.committedRounds.Add(rpw)
-		return finish(StatusOK, s.decName, out.flips)
-	}
-	if out.hasPanic {
-		s.logf("window %d: primary decoder panicked: %v", win.idx, out.panicked)
-	}
-	for _, k := range s.fallback {
-		fd := s.o.AcquireFallback(k)
-		if fd == nil {
-			continue
+		if out.Verdict != experiment.VerdictOK {
+			s.ctrs.degradedRounds.Add(rpw)
 		}
-		fout, fTimedOut := s.attempt(fd, win)
-		if !fTimedOut {
-			fd.Release()
-		}
-		if fTimedOut || fout.hasPanic {
-			continue
-		}
-		if fout.err != nil {
-			s.ctrs.decodeErrors.Add(1)
-			return finish(StatusError, k.String(), nil)
-		}
-		s.ctrs.degradedRounds.Add(rpw)
-		s.ctrs.committedRounds.Add(rpw)
-		return finish(StatusDegraded, k.String(), fout.flips)
 	}
-	s.ctrs.failedRounds.Add(rpw)
-	if timedOut {
-		return finish(StatusDeadline, s.decName, nil)
+	lat := s.clock.Now().Sub(start)
+	s.hist.Record(lat)
+	if s.opt.OnLatency != nil {
+		s.opt.OnLatency(LatencySample{Window: win.idx, Status: status, Decoder: out.Kind.String(), Ns: int64(lat)})
 	}
-	return finish(StatusFailed, s.decName, nil)
+	return wres{win: win.idx, status: status, dec: out.Kind.String(), flips: out.Val}
 }

@@ -280,6 +280,7 @@ func TestDecodeDeadlineDegradesToFallbackBitIdentical(t *testing.T) {
 	defer close(release)
 	o := newOnline(t, func(cfg *experiment.Config) {
 		cfg.Fallback = []experiment.DecoderKind{experiment.PlainMWPM}
+		cfg.DecodeTimeout = 30 * time.Millisecond
 		cfg.WrapDecoder = func(k experiment.DecoderKind, dec experiment.Decoder) experiment.Decoder {
 			if k == experiment.FlaggedMWPM {
 				return &hungForever{release: release}
@@ -289,7 +290,7 @@ func TestDecodeDeadlineDegradesToFallbackBitIdentical(t *testing.T) {
 	})
 	const shots = 4
 	wins, res := sampleWindows(t, o, shots)
-	s, ts := startServer(t, rtd.Options{Online: o, Workers: 1, DecodeTimeout: 30 * time.Millisecond})
+	s, ts := startServer(t, rtd.Options{Online: o, Workers: 1})
 
 	cl := &rtd.Client{URL: ts.URL}
 	out, err := cl.Stream(context.Background(), o.Config().Fingerprint(), wins)
@@ -332,12 +333,13 @@ func TestDeadlineWithNoFallbackFails(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	o := newOnline(t, func(cfg *experiment.Config) {
+		cfg.DecodeTimeout = 20 * time.Millisecond
 		cfg.WrapDecoder = func(k experiment.DecoderKind, dec experiment.Decoder) experiment.Decoder {
 			return &hungForever{release: release}
 		}
 	})
 	wins, _ := sampleWindows(t, o, 1)
-	s, ts := startServer(t, rtd.Options{Online: o, Workers: 1, DecodeTimeout: 20 * time.Millisecond})
+	s, ts := startServer(t, rtd.Options{Online: o, Workers: 1})
 
 	cl := &rtd.Client{URL: ts.URL}
 	out, err := cl.Stream(context.Background(), o.Config().Fingerprint(), wins)
