@@ -109,6 +109,7 @@ var resultAffecting = map[string]bool{
 	"group":      true,
 	"fabric":     true,
 	"rtd":        true,
+	"frame":      true,
 }
 
 // ResultAffecting reports whether pkg is one of the packages whose

@@ -7,15 +7,15 @@
 // the new complete state, never a torn write: SIGKILL at any instant
 // loses at most the blocks committed since the last Put.
 //
-// Records are framed with a schema version and a CRC32-C checksum, so
-// the store distinguishes the one tolerable failure mode — a torn
-// final line from an interrupted foreign writer or a filesystem-level
-// truncation — from mid-file corruption (bit-rot, manual editing, a
-// hostile writer). A torn tail is dropped and reported via TornTail;
-// anything else surfaces as a *CorruptRecordError with the offending
-// line number, and the whole file is quarantined to a ".corrupt"
-// sidecar so the evidence survives while no resume is ever silently
-// recomputed over damaged state. Pre-CRC (version-1) files — bare
+// Records are framed in the internal/frame envelope (a schema version,
+// 2 here, and a CRC32-C checksum), so the store distinguishes the one
+// tolerable failure mode — a torn final line from an interrupted
+// foreign writer or a filesystem-level truncation — from mid-file
+// corruption (bit-rot, manual editing, a hostile writer). A torn tail
+// is dropped and reported via TornTail; anything else surfaces as a
+// *CorruptRecordError with the offending line number, and the whole
+// file is quarantined to a ".corrupt" sidecar so the evidence survives
+// while no resume is ever silently recomputed over damaged state. Pre-CRC (version-1) files — bare
 // Record JSON per line — still load via the version probe.
 //
 // The format is deliberately engine-agnostic: records carry only the
@@ -33,11 +33,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 // FileName is the store's file inside its directory.
@@ -45,12 +46,8 @@ const FileName = "sweep.jsonl"
 
 // Version is the current record-frame schema generation. Version 1 is
 // the pre-CRC format (a bare Record JSON object per line); version 2
-// wraps each record in a {"v","crc","rec"} frame whose crc field is
-// CRC32-C over the exact rec bytes.
+// wraps each record in the frame package's {"v","crc","rec"} envelope.
 const Version = 2
-
-// castagnoli is the CRC32-C polynomial table shared by every frame.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one sweep point's committed prefix.
 type Record struct {
@@ -67,13 +64,6 @@ type Record struct {
 	EarlyStopped bool `json:"early_stopped,omitempty"`
 	// Done marks the point finished: resuming skips it entirely.
 	Done bool `json:"done,omitempty"`
-}
-
-// frame is the on-disk envelope of one version-2 record line.
-type frame struct {
-	V   int             `json:"v"`
-	CRC uint32          `json:"crc"` // CRC32-C over the raw Rec bytes
-	Rec json.RawMessage `json:"rec"`
 }
 
 // metaPayload is the frame payload of a meta line: sweep-wide key/value
@@ -362,8 +352,7 @@ func decodeLine(line []byte) (Record, map[string]string, error) {
 	if err := json.Unmarshal(line, &probe); err != nil {
 		return Record{}, nil, fmt.Errorf("not a JSON record: %v", err)
 	}
-	switch probe.V {
-	case 0:
+	if probe.V == 0 {
 		// Legacy version 1: a bare Record object (no frame, no CRC).
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
@@ -373,58 +362,23 @@ func decodeLine(line []byte) (Record, map[string]string, error) {
 			return Record{}, nil, fmt.Errorf("v1 record has an empty key")
 		}
 		return rec, nil, nil
-	case Version:
-		var fr frame
-		if err := json.Unmarshal(line, &fr); err != nil {
-			return Record{}, nil, fmt.Errorf("bad v%d frame: %v", Version, err)
-		}
-		if got := crc32.Checksum(fr.Rec, castagnoli); got != fr.CRC {
-			return Record{}, nil, fmt.Errorf("CRC32-C mismatch: stored %08x, computed %08x (bit rot?)", fr.CRC, got)
-		}
-		var mp metaPayload
-		if err := json.Unmarshal(fr.Rec, &mp); err == nil && mp.Meta != nil {
-			return Record{}, mp.Meta, nil
-		}
-		var rec Record
-		if err := json.Unmarshal(fr.Rec, &rec); err != nil {
-			return Record{}, nil, fmt.Errorf("bad record inside a checksummed frame: %v", err)
-		}
-		if rec.Key == "" {
-			return Record{}, nil, fmt.Errorf("record has an empty key")
-		}
-		return rec, nil, nil
-	default:
-		return Record{}, nil, fmt.Errorf("unsupported record version %d (this binary writes v%d)", probe.V, Version)
 	}
-}
-
-// encodeLine frames rec with the current schema version and its CRC32-C.
-func encodeLine(rec Record) ([]byte, error) {
-	recBytes, err := json.Marshal(rec)
+	payload, err := frame.Decode(line, Version)
 	if err != nil {
-		return nil, err
+		return Record{}, nil, err
 	}
-	return frameLine(recBytes)
-}
-
-// encodeMetaLine frames the annotation map as one checksummed meta line.
-// json.Marshal sorts map keys, so the bytes are deterministic.
-func encodeMetaLine(meta map[string]string) ([]byte, error) {
-	recBytes, err := json.Marshal(metaPayload{Meta: meta})
-	if err != nil {
-		return nil, err
+	var mp metaPayload
+	if err := json.Unmarshal(payload, &mp); err == nil && mp.Meta != nil {
+		return Record{}, mp.Meta, nil
 	}
-	return frameLine(recBytes)
-}
-
-// frameLine wraps a payload in the {"v","crc","rec"} envelope.
-func frameLine(recBytes []byte) ([]byte, error) {
-	fr := frame{V: Version, CRC: crc32.Checksum(recBytes, castagnoli), Rec: recBytes}
-	out, err := json.Marshal(fr)
-	if err != nil {
-		return nil, err
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return Record{}, nil, fmt.Errorf("bad record inside a checksummed frame: %v", err)
 	}
-	return append(out, '\n'), nil
+	if rec.Key == "" {
+		return Record{}, nil, fmt.Errorf("record has an empty key")
+	}
+	return rec, nil, nil
 }
 
 // TornTail reports whether the load dropped a trailing partial record —
@@ -538,7 +492,8 @@ func (s *Store) flushLocked() error {
 	defer func() { _ = s.fs.Remove(tmp.Name()) }() // no-op after a successful rename
 	w := bufio.NewWriter(tmp)
 	if len(s.meta) > 0 {
-		line, err := encodeMetaLine(s.meta)
+		// json.Marshal sorts map keys, so the meta line is deterministic.
+		line, err := frame.Encode(Version, metaPayload{Meta: s.meta})
 		if err == nil {
 			_, err = w.Write(line)
 		}
@@ -548,7 +503,7 @@ func (s *Store) flushLocked() error {
 		}
 	}
 	for _, key := range s.order {
-		line, err := encodeLine(s.recs[key])
+		line, err := frame.Encode(Version, s.recs[key])
 		if err != nil {
 			_ = tmp.Close() // already failing; the encode error wins
 			return fmt.Errorf("checkpoint: %w", err)

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -87,7 +89,7 @@ func writeStore(t *testing.T, dir, content string) {
 // v2Line frames a record exactly as the store writes it.
 func v2Line(t *testing.T, rec Record) string {
 	t.Helper()
-	b, err := encodeLine(rec)
+	b, err := frame.Encode(Version, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,20 @@
 // Latency log: an append-only JSONL sink for the online decode
-// service's per-window latency samples, CRC32-C framed with the same
-// envelope as the checkpoint store. Appends are O_APPEND writes of one
+// service's per-window latency samples, written in the internal/frame
+// envelope at the store's Version. Appends are O_APPEND writes of one
 // complete line, so a crash can damage at most the final record; the
 // reader tolerates exactly that — a trailing newline-less fragment —
 // and refuses anything else, mirroring the store's torn-tail contract.
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
+
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 // LatencyRec is one decoded window's latency sample.
@@ -43,11 +44,7 @@ func OpenLatencyLog(path string) (*LatencyLog, error) {
 
 // Append writes one framed record.
 func (l *LatencyLog) Append(rec LatencyRec) error {
-	recBytes, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line, err := frameLine(recBytes)
+	line, err := frame.Encode(Version, rec)
 	if err != nil {
 		return err
 	}
@@ -67,45 +64,44 @@ func (l *LatencyLog) Close() error {
 // ReadLatencies loads every record from the log at path. A trailing
 // newline-less fragment — the expected artifact of a writer killed
 // mid-append — is dropped and reported via tornTail; any other damage
-// (bad JSON, CRC mismatch, wrong version) is an error naming the line.
+// (an empty line, bad JSON, CRC mismatch, wrong version) is an error
+// naming the line.
 func ReadLatencies(path string) (recs []LatencyRec, tornTail bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, err
 	}
 	if len(data) > 0 && data[len(data)-1] != '\n' {
-		if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-			data = data[:i+1]
-		} else {
-			data = nil
-		}
+		data = data[:bytes.LastIndexByte(data, '\n')+1]
 		tornTail = true
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for line := 1; sc.Scan(); line++ {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var fr frame
-		if err := json.Unmarshal(raw, &fr); err != nil {
-			return nil, tornTail, fmt.Errorf("checkpoint: latency log %s line %d: %v", path, line, err)
-		}
-		if fr.V != Version {
-			return nil, tornTail, fmt.Errorf("checkpoint: latency log %s line %d: unsupported version %d", path, line, fr.V)
-		}
-		if got := crc32.Checksum(fr.Rec, castagnoli); got != fr.CRC {
-			return nil, tornTail, fmt.Errorf("checkpoint: latency log %s line %d: CRC32-C mismatch (stored %08x, computed %08x)", path, line, fr.CRC, got)
-		}
-		var rec LatencyRec
-		if err := json.Unmarshal(fr.Rec, &rec); err != nil {
-			return nil, tornTail, fmt.Errorf("checkpoint: latency log %s line %d: bad record: %v", path, line, err)
+	for line := 1; len(data) > 0; line++ {
+		i := bytes.IndexByte(data, '\n') // found: data ends in a newline
+		rec, err := decodeLatency(data[:i+1])
+		if err != nil {
+			return nil, tornTail, fmt.Errorf("checkpoint: latency log %s line %d: %w", path, line, err)
 		}
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, tornTail, fmt.Errorf("checkpoint: latency log %s: %v", path, err)
+		data = data[i+1:]
 	}
 	return recs, tornTail, nil
+}
+
+// decodeLatency decodes one newline-terminated log line.
+func decodeLatency(line []byte) (LatencyRec, error) {
+	var rec LatencyRec
+	if len(line) > frame.MaxLine {
+		return rec, frame.ErrLineTooLong
+	}
+	if len(bytes.TrimSpace(line)) == 0 {
+		return rec, errors.New("empty line inside the log")
+	}
+	payload, err := frame.Decode(line, Version)
+	if err != nil {
+		return rec, err
+	}
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, fmt.Errorf("bad record: %v", err)
+	}
+	return rec, nil
 }

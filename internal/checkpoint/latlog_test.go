@@ -126,4 +126,14 @@ func TestLatencyLogRefusesMidFileDamage(t *testing.T) {
 	if _, _, err := ReadLatencies(path); err == nil || !strings.Contains(err.Error(), "line 1") {
 		t.Fatalf("mid-file damage not refused: %v", err)
 	}
+	// A blank line between two intact records is damage too, the same
+	// verdict the store's quarantine gives it.
+	nl := strings.IndexByte(string(data), '\n') + 1
+	blank := append(append(append([]byte(nil), data[:nl]...), '\n'), data[nl:]...)
+	if err := os.WriteFile(path, blank, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadLatencies(path); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("mid-file blank line not refused: %v", err)
+	}
 }

@@ -8,7 +8,6 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -560,7 +559,7 @@ func (c *Coordinator) mergeShard(fp string, shardIdx int, epoch, dec string, bod
 		// it; a late result can no longer be committed.
 		return ackMsg{Status: statusIdle}, ""
 	}
-	counts, err := readCounts(bytes.NewReader(body), sh.first, sh.blocks)
+	counts, err := readCounts(body, sh.first, sh.blocks)
 	if err != nil {
 		return ackMsg{}, err.Error()
 	}

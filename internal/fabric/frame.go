@@ -1,37 +1,25 @@
 // Completion-stream framing. A worker posts a shard's per-block
-// logical-error counts as JSONL: one {"v","crc","rec"} frame per block
-// — the same envelope discipline as the checkpoint store, CRC32-C over
-// the exact rec bytes — followed by one framed trailer carrying the
-// count of preceding lines. The trailer turns a connection cut at any
-// byte into a detectable torn stream instead of a silently short shard:
-// a reader accepts a stream only when every frame checks out, the block
-// indexes are exactly the leased range in order, and the trailer
-// matches.
+// logical-error counts as a counted stream in the internal/frame
+// envelope (version 1): one frame per block, then one framed trailer
+// carrying the count of preceding lines. The trailer turns a connection
+// cut at any byte into a detectable torn stream instead of a silently
+// short shard: frame.ReadCounted accepts a body only when every frame
+// checks out and the trailer matches, and readCounts adds this
+// schema's rules: block indexes exactly the leased range, in order.
 package fabric
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 // frameVersion is the completion-stream schema generation.
 const frameVersion = 1
-
-// castagnoli is the CRC32-C table shared by every frame and by the
-// shard digest.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// countFrame is the on-wire envelope of one stream line.
-type countFrame struct {
-	V   int             `json:"v"`
-	CRC uint32          `json:"crc"` // CRC32-C over the raw Rec bytes
-	Rec json.RawMessage `json:"rec"`
-}
 
 // countRec is one block's result: absolute block index and its
 // logical-error count.
@@ -62,87 +50,40 @@ func writeCounts(w io.Writer, first int, counts []int) error {
 }
 
 func writeFrame(w io.Writer, payload any) error {
-	rec, err := json.Marshal(payload)
+	line, err := frame.Encode(frameVersion, payload)
 	if err != nil {
 		return err
 	}
-	out, err := json.Marshal(countFrame{V: frameVersion, CRC: crc32.Checksum(rec, castagnoli), Rec: rec})
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	_, err = w.Write(out)
+	_, err = w.Write(line)
 	return err
 }
 
-// readCounts parses and fully validates one completion stream for the
-// leased range [first, first+n). Any deviation — bad JSON, CRC
-// mismatch, wrong block order, short or over-long stream, missing or
-// wrong trailer — is an error; nothing partial is ever returned, so a
+// readCounts validates one complete completion body for the leased
+// range [first, first+n). Any deviation — bad JSON, CRC mismatch, wrong
+// block order, short or over-long stream, missing or wrong trailer, a
+// cut at any byte — is an error; nothing partial is ever returned, so a
 // torn TCP stream can never merge a half shard.
-func readCounts(r io.Reader, first, n int) ([]int, error) {
-	// Every line, the trailer included, must be newline-terminated: a
-	// stream cut even one byte short of complete is rejected, so "every
-	// strict prefix fails" holds with no edge case at the final byte.
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: torn stream: %v", err)
-	}
-	if len(data) == 0 || data[len(data)-1] != '\n' {
-		return nil, fmt.Errorf("fabric: torn stream: missing terminal newline")
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+func readCounts(body []byte, first, n int) ([]int, error) {
 	counts := make([]int, 0, n)
-	sawTrailer := false
-	for line := 1; sc.Scan(); line++ {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			return nil, fmt.Errorf("fabric: stream line %d: empty", line)
-		}
-		if sawTrailer {
-			return nil, fmt.Errorf("fabric: stream line %d: data after the trailer", line)
-		}
-		var fr countFrame
-		if err := json.Unmarshal(raw, &fr); err != nil {
-			return nil, fmt.Errorf("fabric: stream line %d: %v", line, err)
-		}
-		if fr.V != frameVersion {
-			return nil, fmt.Errorf("fabric: stream line %d: unsupported frame version %d", line, fr.V)
-		}
-		if got := crc32.Checksum(fr.Rec, castagnoli); got != fr.CRC {
-			return nil, fmt.Errorf("fabric: stream line %d: CRC32-C mismatch (stored %08x, computed %08x)", line, fr.CRC, got)
-		}
-		var probe struct {
-			End *int `json:"end"`
-		}
-		if err := json.Unmarshal(fr.Rec, &probe); err == nil && probe.End != nil {
-			if *probe.End != len(counts) {
-				return nil, fmt.Errorf("fabric: trailer claims %d blocks, stream carried %d", *probe.End, len(counts))
-			}
-			sawTrailer = true
-			continue
-		}
+	_, err := frame.ReadCounted(body, frameVersion, func(payload json.RawMessage) (bool, error) {
 		var rec countRec
-		if err := json.Unmarshal(fr.Rec, &rec); err != nil {
-			return nil, fmt.Errorf("fabric: stream line %d: bad record: %v", line, err)
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return false, fmt.Errorf("bad record: %v", err)
 		}
 		if rec.Block != first+len(counts) {
-			return nil, fmt.Errorf("fabric: stream line %d: block %d out of order (want %d)", line, rec.Block, first+len(counts))
+			return false, fmt.Errorf("block %d out of order (want %d)", rec.Block, first+len(counts))
 		}
 		if len(counts) == n {
-			return nil, fmt.Errorf("fabric: stream carries more than the leased %d blocks", n)
+			return false, fmt.Errorf("more than the leased %d blocks", n)
 		}
 		if rec.Errs < 0 || rec.Errs > blockShotsMax {
-			return nil, fmt.Errorf("fabric: stream line %d: impossible error count %d", line, rec.Errs)
+			return false, fmt.Errorf("impossible error count %d", rec.Errs)
 		}
 		counts = append(counts, rec.Errs)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fabric: torn stream: %v", err)
-	}
-	if !sawTrailer {
-		return nil, fmt.Errorf("fabric: torn stream: no trailer after %d blocks", len(counts))
+		return true, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	if len(counts) != n {
 		return nil, fmt.Errorf("fabric: stream carried %d blocks, lease covers %d", len(counts), n)
@@ -159,11 +100,9 @@ const blockShotsMax = 64
 // conflict (different digest → first completion wins, the liar is
 // reported).
 func countsDigest(counts []int) uint32 {
-	var buf [8]byte
-	h := crc32.New(castagnoli)
+	buf := make([]byte, 0, 8*len(counts))
 	for _, e := range counts {
-		binary.LittleEndian.PutUint64(buf[:], uint64(e))
-		_, _ = h.Write(buf[:]) // hash.Hash.Write never fails
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e))
 	}
-	return h.Sum32()
+	return frame.Checksum(buf)
 }

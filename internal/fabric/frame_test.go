@@ -12,7 +12,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeCounts(&buf, 40, counts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readCounts(bytes.NewReader(buf.Bytes()), 40, len(counts))
+	got, err := readCounts(buf.Bytes(), 40, len(counts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestTornStreamAtEveryByteIsRejected(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := readCounts(bytes.NewReader(full[:cut]), 0, 3); err == nil {
+		if _, err := readCounts(full[:cut], 0, 3); err == nil {
 			t.Fatalf("stream torn at byte %d/%d was accepted", cut, len(full))
 		}
 	}
-	if _, err := readCounts(bytes.NewReader(full), 0, 3); err != nil {
+	if _, err := readCounts(full, 0, 3); err != nil {
 		t.Fatalf("intact stream rejected: %v", err)
 	}
 }
@@ -68,7 +68,7 @@ func TestStreamValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := readCounts(bytes.NewReader(c.body), 0, c.n)
+			_, err := readCounts(c.body, 0, c.n)
 			if err == nil {
 				t.Fatal("damaged stream accepted")
 			}

@@ -177,11 +177,11 @@ func TestWireProtocolGolden(t *testing.T) {
 	}
 	fmt.Fprintf(&buf, "completion-frames %q\n", comp.String())
 
-	hdr, err := rtd.EncodeFrame(rtd.Header{Stream: rtd.StreamName, Fingerprint: "fp-cafe", ID: "stream-9", StartWindow: 4})
+	seg, err := rtd.EncodeWindowsAt("fp-cafe", "stream-9", 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&buf, "rtd-resume-header %q\n", hdr)
+	fmt.Fprintf(&buf, "rtd-resume-header %q\n", seg[0])
 	pin("rtd-resume-known", rtd.ResumeInfo{Status: rtd.ResumeKnown, NextWindow: 4, Replay: []rtd.Result{{Window: 3, Status: rtd.StatusOK, Decoder: "flagged-mwpm", Flips: []int{1, 5}}}})
 	pin("rtd-resume-unknown", rtd.ResumeInfo{Status: rtd.ResumeUnknown})
 	got := buf.String()

@@ -1,13 +1,13 @@
 // Syndrome-stream client: builds healthy request bodies, streams them,
-// and fully validates the response framing — every frame's CRC, strict
-// window order, the counted trailer — so a torn response is an error,
-// never a silently short result set. The chaos suite and the decoded
-// command's load generator both drive the service through this client
-// (the chaos clients damage the encoded body before sending).
+// and fully validates the response — frame.ReadCounted checks every
+// frame's CRC and the counted trailer, decodeResponseFrom the strict
+// window order — so a torn response is an error, never a silently short
+// result set. The chaos suite and the decoded command's load generator
+// both drive the service through this client (the chaos clients damage
+// the encoded body before sending).
 package rtd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -18,6 +18,7 @@ import (
 	"net/url"
 
 	"github.com/fpn/flagproxy/internal/circuit"
+	"github.com/fpn/flagproxy/internal/frame"
 	"github.com/fpn/flagproxy/internal/sim"
 )
 
@@ -134,17 +135,16 @@ func (cl *Client) StreamResumable(ctx context.Context, fingerprint, id string, w
 			}
 			lastErr = err
 		} else {
+			// A torn segment still yields its strictly valid prefix —
+			// frames after the first damaged byte are untrusted.
 			seg, err := decodeResponseFrom(data, sendFrom)
+			out.Results = append(out.Results, seg.Results...)
 			if err == nil {
 				// A healthy segment ends the stream: adopt its verdicts.
-				out.Results = append(out.Results, seg.Results...)
 				out.Drained, out.Fatal = seg.Drained, seg.Fatal
 				return out, nil
 			}
 			lastErr = err
-			// Salvage the strictly valid prefix of the torn response —
-			// frames after the first damaged byte are untrusted.
-			out.Results = append(out.Results, decodePrefix(data, sendFrom)...)
 		}
 		// Ask the server where the stream actually stands; it may have
 		// committed windows whose results died on the wire.
@@ -212,105 +212,62 @@ func JoinFrames(frames [][]byte) []byte {
 // window order, at most one fatal verdict, a trailer counting the
 // results. Any deviation is an error and nothing partial is returned.
 func decodeResponse(data []byte) (*StreamOutcome, error) {
-	return decodeResponseFrom(data, 0)
+	out, err := decodeResponseFrom(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // decodeResponseFrom is decodeResponse for a resumed segment whose
-// first result must carry absolute window index from.
+// first result must carry absolute window index from. On error the
+// outcome still holds the segment's strictly valid result prefix:
+// CRC-checked results in exact window order, up to the first damaged
+// or out-of-order byte. Those are as trustworthy as a healthy stream's
+// results — only completeness is lost — so a resuming client keeps
+// them.
 func decodeResponseFrom(data []byte, from int) (*StreamOutcome, error) {
-	if len(data) == 0 || data[len(data)-1] != '\n' {
-		return nil, fmt.Errorf("rtd: torn response: missing terminal newline")
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	out := &StreamOutcome{}
-	sawTrailer := false
-	for line := 1; sc.Scan(); line++ {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			return nil, fmt.Errorf("rtd: response line %d: empty", line)
-		}
-		if sawTrailer {
-			return nil, fmt.Errorf("rtd: response line %d: data after the trailer", line)
-		}
-		rec, err := decodeFrame(raw)
-		if err != nil {
-			return nil, fmt.Errorf("rtd: response line %d: %v", line, err)
-		}
-		if tr, ok := probeTrailer(rec); ok {
-			if tr.End != len(out.Results) {
-				return nil, fmt.Errorf("rtd: trailer claims %d results, response carried %d", tr.End, len(out.Results))
-			}
-			out.Drained = tr.Drained
-			sawTrailer = true
-			continue
-		}
+	tr, err := frame.ReadCounted(data, frameVersion, func(rec json.RawMessage) (bool, error) {
 		var probe struct {
 			Err    *string `json:"err"`
 			Status *string `json:"st"`
 		}
 		if err := json.Unmarshal(rec, &probe); err != nil {
-			return nil, fmt.Errorf("rtd: response line %d: bad record: %v", line, err)
+			return false, fmt.Errorf("bad record: %v", err)
 		}
 		switch {
 		case probe.Err != nil:
 			if out.Fatal != "" {
-				return nil, fmt.Errorf("rtd: response line %d: second fatal verdict", line)
+				return false, errors.New("second fatal verdict")
 			}
 			out.Fatal = *probe.Err
+			return false, nil
 		case probe.Status != nil:
 			if out.Fatal != "" {
-				return nil, fmt.Errorf("rtd: response line %d: result after a fatal verdict", line)
+				return false, errors.New("result after a fatal verdict")
 			}
 			var res Result
 			if err := json.Unmarshal(rec, &res); err != nil {
-				return nil, fmt.Errorf("rtd: response line %d: bad result: %v", line, err)
+				return false, fmt.Errorf("bad result: %v", err)
 			}
 			if res.Window != from+len(out.Results) {
-				return nil, fmt.Errorf("rtd: response line %d: window %d out of order (want %d)", line, res.Window, from+len(out.Results))
+				return false, fmt.Errorf("window %d out of order (want %d)", res.Window, from+len(out.Results))
 			}
 			out.Results = append(out.Results, res)
-		default:
-			return nil, fmt.Errorf("rtd: response line %d: unrecognized record", line)
+			return true, nil
 		}
+		return false, errors.New("unrecognized record")
+	})
+	if err != nil {
+		return out, fmt.Errorf("rtd: response: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("rtd: torn response: %v", err)
+	var t Trailer
+	if err := json.Unmarshal(tr, &t); err != nil {
+		return out, fmt.Errorf("rtd: response: bad trailer: %v", err)
 	}
-	if !sawTrailer {
-		return nil, fmt.Errorf("rtd: torn response: no trailer after %d results", len(out.Results))
-	}
+	out.Drained = t.Drained
 	return out, nil
-}
-
-// decodePrefix salvages the strictly valid result prefix of a torn
-// response: CRC-checked frames in exact window order starting at from,
-// stopping at the first damaged or out-of-order byte. Everything it
-// returns is as trustworthy as a healthy stream's results — the CRC
-// envelope is the same — only completeness is lost.
-func decodePrefix(data []byte, from int) []Result {
-	var results []Result
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			return results
-		}
-		rec, err := decodeFrame(raw)
-		if err != nil {
-			return results
-		}
-		if _, ok := probeTrailer(rec); ok {
-			return results
-		}
-		var res Result
-		if err := json.Unmarshal(rec, &res); err != nil || res.Status == "" || res.Window != from+len(results) {
-			return results
-		}
-		results = append(results, res)
-	}
-	return results
 }
 
 // BuildWindows converts n sampled shots (starting at firstShot) into

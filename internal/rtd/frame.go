@@ -1,10 +1,10 @@
 // Wire framing for the online decode service. Both directions of a
-// syndrome stream are CRC32-C-framed JSONL — one {"v","crc","rec"}
-// envelope per line, checksum over the exact rec bytes, a counted
-// trailer at the end — the same discipline as the fabric's completion
-// streams and the checkpoint store. The trailer turns a connection cut
-// at any byte into a detectable torn stream: every strict prefix of a
-// healthy stream fails validation.
+// syndrome stream are counted streams in the internal/frame envelope
+// (version 1), the same envelope as the fabric's completion streams and
+// the checkpoint store: a counted trailer at the end turns a connection
+// cut at any byte into a detectable torn stream, because every strict
+// prefix of a healthy stream fails validation. This file holds only the
+// rtd record schema.
 //
 // Request (client → server): one header record naming the stream kind
 // and the configuration fingerprint, then round records in strictly
@@ -15,28 +15,13 @@
 // was ended by a server drain).
 package rtd
 
-import (
-	"encoding/json"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
+import "github.com/fpn/flagproxy/internal/frame"
 
 // frameVersion is the syndrome-stream schema generation.
 const frameVersion = 1
 
 // StreamName discriminates syndrome streams from unrelated POSTs.
 const StreamName = "rtd-syndrome"
-
-// castagnoli is the CRC32-C table shared by every frame.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// frame is the on-wire envelope of one stream line.
-type frame struct {
-	V   int             `json:"v"`
-	CRC uint32          `json:"crc"` // CRC32-C over the raw Rec bytes
-	Rec json.RawMessage `json:"rec"`
-}
 
 // Header opens a syndrome stream. Fingerprint must match the serving
 // configuration's experiment.Config.Fingerprint — the same engine-drift
@@ -107,60 +92,6 @@ type Fatal struct {
 	Err string `json:"err"`
 }
 
-// EncodeFrame wraps payload in the CRC envelope and returns the
-// newline-terminated line. Chaos clients build raw bodies from these
-// and then damage them deliberately.
-func EncodeFrame(payload any) ([]byte, error) {
-	rec, err := json.Marshal(payload)
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.Marshal(frame{V: frameVersion, CRC: crc32.Checksum(rec, castagnoli), Rec: rec})
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// writeFrame encodes payload and writes it as one line.
-func writeFrame(w io.Writer, payload any) error {
-	line, err := EncodeFrame(payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(line)
-	return err
-}
-
-// decodeFrame validates one line's envelope — JSON shape, version, CRC —
-// and returns the raw record bytes.
-func decodeFrame(line []byte) (json.RawMessage, error) {
-	var fr frame
-	if err := json.Unmarshal(line, &fr); err != nil {
-		return nil, fmt.Errorf("rtd: bad frame: %v", err)
-	}
-	if fr.V != frameVersion {
-		return nil, fmt.Errorf("rtd: unsupported frame version %d", fr.V)
-	}
-	if got := crc32.Checksum(fr.Rec, castagnoli); got != fr.CRC {
-		return nil, fmt.Errorf("rtd: frame CRC32-C mismatch (stored %08x, computed %08x)", fr.CRC, got)
-	}
-	return fr.Rec, nil
-}
-
-// probeTrailer reports whether rec is a trailer (discriminated by its
-// "end" key, like the fabric's completion trailer).
-func probeTrailer(rec json.RawMessage) (Trailer, bool) {
-	var probe struct {
-		End     *int `json:"end"`
-		Drained bool `json:"drained"`
-	}
-	if err := json.Unmarshal(rec, &probe); err != nil || probe.End == nil {
-		return Trailer{}, false
-	}
-	return Trailer{End: *probe.End, Drained: probe.Drained}, true
-}
-
 // EncodeWindows builds a complete, healthy request body for the given
 // windows: the header, each window's rounds in order, the trailer. Each
 // element of wins holds the per-round fired-detector lists of one
@@ -176,7 +107,7 @@ func EncodeWindows(fingerprint string, wins [][][]int) ([][]byte, error) {
 // segment was cut.
 func EncodeWindowsAt(fingerprint, id string, start int, wins [][][]int) ([][]byte, error) {
 	frames := make([][]byte, 0, 2)
-	h, err := EncodeFrame(Header{Stream: StreamName, Fingerprint: fingerprint, ID: id, StartWindow: start})
+	h, err := frame.Encode(frameVersion, Header{Stream: StreamName, Fingerprint: fingerprint, ID: id, StartWindow: start})
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +115,7 @@ func EncodeWindowsAt(fingerprint, id string, start int, wins [][][]int) ([][]byt
 	rounds := 0
 	for w, win := range wins {
 		for r, fired := range win {
-			line, err := EncodeFrame(Round{Window: start + w, Round: r, Fired: fired})
+			line, err := frame.Encode(frameVersion, Round{Window: start + w, Round: r, Fired: fired})
 			if err != nil {
 				return nil, err
 			}
@@ -192,7 +123,7 @@ func EncodeWindowsAt(fingerprint, id string, start int, wins [][][]int) ([][]byt
 			rounds++
 		}
 	}
-	t, err := EncodeFrame(Trailer{End: rounds})
+	t, err := frame.Encode(frameVersion, Trailer{End: rounds})
 	if err != nil {
 		return nil, err
 	}

@@ -1,119 +1,83 @@
-package rtd
+package rtd_test
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
+	"io"
+	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/fpn/flagproxy/internal/frame"
+	"github.com/fpn/flagproxy/internal/rtd"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	line, err := EncodeFrame(Round{Window: 3, Round: 1, Fired: []int{2, 7, 11}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if line[len(line)-1] != '\n' {
-		t.Fatal("encoded frame is not newline-terminated")
-	}
-	rec, err := decodeFrame(bytes.TrimSpace(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rr Round
-	if err := json.Unmarshal(rec, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.Window != 3 || rr.Round != 1 || len(rr.Fired) != 3 || rr.Fired[2] != 11 {
-		t.Fatalf("round-trip mismatch: %+v", rr)
-	}
-}
-
-func TestFrameCRCCatchesCorruption(t *testing.T) {
-	line, err := EncodeFrame(Header{Stream: StreamName, Fingerprint: "fp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte inside the rec payload (after the "rec": key).
-	i := bytes.Index(line, []byte(StreamName))
-	if i < 0 {
-		t.Fatal("payload not found in frame")
-	}
-	bad := append([]byte(nil), line...)
-	bad[i] ^= 0x01
-	if _, err := decodeFrame(bytes.TrimSpace(bad)); err == nil || !strings.Contains(err.Error(), "CRC32-C mismatch") {
-		t.Fatalf("corrupted frame not rejected: %v", err)
-	}
-}
-
-func TestFrameVersionGate(t *testing.T) {
-	line := []byte(`{"v":99,"crc":0,"rec":{}}`)
-	if _, err := decodeFrame(line); err == nil || !strings.Contains(err.Error(), "unsupported frame version") {
-		t.Fatalf("future version not rejected: %v", err)
-	}
-}
-
-func TestProbeTrailerDiscrimination(t *testing.T) {
-	if _, ok := probeTrailer(json.RawMessage(`{"w":0,"r":0}`)); ok {
-		t.Fatal("round record mistaken for a trailer")
-	}
-	tr, ok := probeTrailer(json.RawMessage(`{"end":7,"drained":true}`))
-	if !ok || tr.End != 7 || !tr.Drained {
-		t.Fatalf("trailer not recognized: %+v ok=%v", tr, ok)
-	}
-}
-
-// Every strict prefix of a healthy encoded stream must fail validation:
-// either the terminal newline is gone, the last line's envelope is cut,
-// or the trailer (with its count) is missing entirely.
+// A healthy server response body is accepted whole by the client's
+// reader and refused at every strict byte prefix: a connection can die
+// at any byte, and a cut response must never pass for a short result
+// set. At every cut the salvaged prefix a resuming client keeps is only
+// whole result frames, in window order, exactly as the full body has
+// them.
 func TestEveryStrictPrefixFailsValidation(t *testing.T) {
-	wins := [][][]int{{{0}, {1, 2}}, {{}, {2}}}
-	frames, err := EncodeWindows("fp", wins)
+	o := newOnline(t, nil)
+	wins, _ := sampleWindows(t, o, 3)
+	_, ts := startServer(t, rtd.Options{Online: o})
+	frames, err := rtd.EncodeWindows(o.Config().Fingerprint(), wins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := JoinFrames(frames)
-	validate := func(data []byte) error {
-		if len(data) == 0 || data[len(data)-1] != '\n' {
-			return errNoNewline
-		}
-		lines := bytes.Split(data[:len(data)-1], []byte("\n"))
-		recs := 0
-		sawTrailer := false
-		for _, ln := range lines {
-			rec, err := decodeFrame(ln)
-			if err != nil {
-				return err
-			}
-			if tr, ok := probeTrailer(rec); ok {
-				if tr.End != recs-1 { // header is not counted
-					return errBadCount
-				}
-				sawTrailer = true
-				continue
-			}
-			recs++
-		}
-		if !sawTrailer {
-			return errNoTrailer
-		}
-		return nil
+	resp, err := http.Post(ts.URL+"/v1/stream", "application/jsonl", bytes.NewReader(rtd.JoinFrames(frames)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := validate(body); err != nil {
-		t.Fatalf("healthy stream rejected: %v", err)
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := rtd.DecodeResponse(body)
+	if err != nil {
+		t.Fatalf("healthy response rejected: %v", err)
+	}
+	if len(full.Results) != len(wins) || full.Fatal != "" {
+		t.Fatalf("healthy response carried %d results (fatal %q), want %d", len(full.Results), full.Fatal, len(wins))
 	}
 	for cut := 0; cut < len(body); cut++ {
-		if err := validate(body[:cut]); err == nil {
-			t.Fatalf("strict prefix of %d/%d bytes passed validation", cut, len(body))
+		if out, err := rtd.DecodeResponse(body[:cut]); err == nil || out != nil {
+			t.Fatalf("strict prefix of %d/%d bytes accepted", cut, len(body))
+		}
+		seg, err := rtd.DecodeResponseFrom(body[:cut], 0)
+		if err == nil {
+			t.Fatalf("strict prefix of %d/%d bytes accepted as a segment", cut, len(body))
+		}
+		whole := min(bytes.Count(body[:cut], []byte("\n")), len(full.Results))
+		if len(seg.Results) != whole || (whole > 0 && !reflect.DeepEqual(seg.Results, full.Results[:whole])) {
+			t.Fatalf("cut at %d/%d bytes salvaged %+v, want the %d whole results %+v", cut, len(body), seg.Results, whole, full.Results[:whole])
 		}
 	}
 }
 
-var (
-	errNoNewline = &validationError{"missing terminal newline"}
-	errBadCount  = &validationError{"trailer count mismatch"}
-	errNoTrailer = &validationError{"missing trailer"}
-)
-
-type validationError struct{ msg string }
-
-func (e *validationError) Error() string { return e.msg }
+// A request line over frame.MaxLine ends the stream torn with a fatal
+// naming the limit; the server never buffers past it.
+func TestOverlongRequestLineIsTorn(t *testing.T) {
+	o := newOnline(t, nil)
+	s, ts := startServer(t, rtd.Options{Online: o})
+	frames, err := rtd.EncodeWindows(o.Config().Fingerprint(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(append([]byte{}, frames[0]...), bytes.Repeat([]byte("x"), frame.MaxLine)...)
+	body = append(body, '\n')
+	cl := &rtd.Client{URL: ts.URL}
+	out, err := cl.StreamBody(context.Background(), bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.Fatal, "torn stream") || !strings.Contains(out.Fatal, "1048576 bytes") {
+		t.Fatalf("fatal = %q, want a torn stream naming the 1048576-byte line limit", out.Fatal)
+	}
+	if st := s.Stats(); st.StreamsTorn != 1 {
+		t.Fatalf("StreamsTorn = %d, want 1", st.StreamsTorn)
+	}
+}

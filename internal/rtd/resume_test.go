@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"github.com/fpn/flagproxy/internal/chaos"
+	"github.com/fpn/flagproxy/internal/frame"
 	"github.com/fpn/flagproxy/internal/rtd"
 )
 
@@ -265,11 +266,11 @@ func TestReplayedRoundMidStreamRefused(t *testing.T) {
 	}
 	// Resume at the correct start window 2, but stamp the first round
 	// frame with the committed window 1.
-	hdr, err := rtd.EncodeFrame(rtd.Header{Stream: rtd.StreamName, Fingerprint: fp, ID: "round-replay", StartWindow: 2})
+	hdr, err := frame.Encode(1, rtd.Header{Stream: rtd.StreamName, Fingerprint: fp, ID: "round-replay", StartWindow: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := rtd.EncodeFrame(rtd.Round{Window: 1, Round: 0, Fired: nil})
+	stale, err := frame.Encode(1, rtd.Round{Window: 1, Round: 0, Fired: nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +307,11 @@ func TestReplayedRoundRejectedAtEveryStrictPrefix(t *testing.T) {
 	if _, err := cl.StreamBody(ctx, chaos.DisconnectBody(frames, 1+2*rpw+1)); err != nil {
 		t.Fatal(err)
 	}
-	hdr, err := rtd.EncodeFrame(rtd.Header{Stream: rtd.StreamName, Fingerprint: fp, ID: "prefix-drill", StartWindow: 2})
+	hdr, err := frame.Encode(1, rtd.Header{Stream: rtd.StreamName, Fingerprint: fp, ID: "prefix-drill", StartWindow: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := rtd.EncodeFrame(rtd.Round{Window: 1, Round: 0})
+	stale, err := frame.Encode(1, rtd.Round{Window: 1, Round: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +384,9 @@ func TestResumeSessionEviction(t *testing.T) {
 func TestClientSalvageAndSuffixResend(t *testing.T) {
 	const shots = 6
 	mkResult := func(w int) rtd.Result { return rtd.Result{Window: w, Status: rtd.StatusOK, Decoder: "fake"} }
-	frame := func(t *testing.T, v any) []byte {
+	encode := func(t *testing.T, v any) []byte {
 		t.Helper()
-		b, err := rtd.EncodeFrame(v)
+		b, err := frame.Encode(1, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,8 +404,8 @@ func TestClientSalvageAndSuffixResend(t *testing.T) {
 		case 1:
 			// Two valid result frames, then the connection "dies": no
 			// fatal, no trailer.
-			_, _ = w.Write(frame(t, mkResult(0)))
-			_, _ = w.Write(frame(t, mkResult(1)))
+			_, _ = w.Write(encode(t, mkResult(0)))
+			_, _ = w.Write(encode(t, mkResult(1)))
 		default:
 			// The resumed segment: decode its header, then answer the
 			// suffix cleanly.
@@ -421,9 +422,9 @@ func TestClientSalvageAndSuffixResend(t *testing.T) {
 				n++
 			}
 			for i := 0; i < n; i++ {
-				_, _ = w.Write(frame(t, mkResult(secondHeader.StartWindow+i)))
+				_, _ = w.Write(encode(t, mkResult(secondHeader.StartWindow+i)))
 			}
-			_, _ = w.Write(frame(t, rtd.Trailer{End: n}))
+			_, _ = w.Write(encode(t, rtd.Trailer{End: n}))
 		}
 	})
 	mux.HandleFunc("GET /v1/resume", func(w http.ResponseWriter, r *http.Request) {

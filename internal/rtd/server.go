@@ -19,7 +19,8 @@
 //   - slow clients: every read and write carries a deadline, so a hung
 //     client costs one stream slot for ReadTimeout, not forever
 //     (HungClients), and a client that stops reading its corrections is
-//     cut off at WriteTimeout;
+//     cut off at WriteTimeout, and a request line over frame.MaxLine
+//     ends its stream torn instead of growing a buffer (StreamsTorn);
 //   - draining: Drain stops intake, finishes every window already
 //     received in full, flushes the results, and closes each stream
 //     with a drained trailer — zero committed rounds are lost.
@@ -45,6 +46,7 @@ import (
 	"time"
 
 	"github.com/fpn/flagproxy/internal/experiment"
+	"github.com/fpn/flagproxy/internal/frame"
 )
 
 // Options configures NewServer. Online is required; everything else
@@ -455,8 +457,12 @@ func (st *stream) abortRead() {
 }
 
 func (st *stream) writeFrame(payload any) error {
+	line, err := frame.Encode(frameVersion, payload)
+	if err != nil {
+		return err
+	}
 	_ = st.rc.SetWriteDeadline(st.srv.clock.Now().Add(st.srv.writeTimeout))
-	if err := writeFrame(st.w, payload); err != nil {
+	if _, err := st.w.Write(line); err != nil {
 		return err
 	}
 	return st.rc.Flush()
@@ -605,13 +611,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readLine reads one request frame under a fresh read deadline.
+// readLine reads one request frame under a fresh read deadline. A line
+// over frame.MaxLine ends the stream torn: a client cannot make the
+// server buffer an unbounded line.
 func (s *Server) readLine(st *stream, br *bufio.Reader) ([]byte, error) {
 	_ = st.rc.SetReadDeadline(s.clock.Now().Add(s.readTimeout))
 	if st.aborted.Load() {
 		_ = st.rc.SetReadDeadline(time.Unix(1, 0))
 	}
-	line, err := br.ReadBytes('\n')
+	line, err := frame.ReadLine(br)
 	st.sawEOF = err == io.EOF
 	return line, err
 }
@@ -636,9 +644,9 @@ func (s *Server) readHeader(st *stream, br *bufio.Reader) (end streamEnd, ok boo
 	if err != nil {
 		return s.classifyReadErr(err, 0), false
 	}
-	rec, err := decodeFrame(line)
+	rec, err := frame.Decode(line, frameVersion)
 	if err != nil {
-		return streamEnd{torn: true, fatal: err.Error()}, false
+		return streamEnd{torn: true, fatal: "rtd: " + err.Error()}, false
 	}
 	var hdr Header
 	if err := json.Unmarshal(rec, &hdr); err != nil || hdr.Stream != StreamName {
@@ -730,13 +738,13 @@ func (s *Server) readRounds(st *stream, br *bufio.Reader) streamEnd {
 		if err != nil {
 			return s.classifyReadErr(err, partial)
 		}
-		rec, err := decodeFrame(line)
+		rec, err := frame.Decode(line, frameVersion)
 		if err != nil {
-			return streamEnd{torn: true, droppedRounds: partial, fatal: err.Error()}
+			return streamEnd{torn: true, droppedRounds: partial, fatal: "rtd: " + err.Error()}
 		}
-		if tr, ok := probeTrailer(rec); ok {
-			if tr.End != rounds {
-				return streamEnd{torn: true, droppedRounds: partial, fatal: fmt.Sprintf("rtd: trailer claims %d rounds, stream carried %d", tr.End, rounds)}
+		if end, ok := frame.Trailer(rec); ok {
+			if end != rounds {
+				return streamEnd{torn: true, droppedRounds: partial, fatal: fmt.Sprintf("rtd: trailer claims %d rounds, stream carried %d", end, rounds)}
 			}
 			if win != nil {
 				return streamEnd{torn: true, droppedRounds: partial, fatal: fmt.Sprintf("rtd: trailer inside window %d (round %d of %d)", win.idx, partial, s.rpw)}
