@@ -124,7 +124,6 @@ func main() {
 		maxCI:        cfg.maxCI,
 		decTimeout:   cfg.decTimeout,
 		fallback:     cfg.fallback,
-		resume:       cfg.resume,
 	}
 	if cfg.checkpointDir != "" {
 		// Probe the directory's whole write protocol up front: a
@@ -152,13 +151,16 @@ func main() {
 		// differ from what a fresh run would report. Record them in the
 		// store and warn loudly when a resume changes them mid-sweep.
 		recordSchedKnobs(store, schedSignature(cfg.decTimeout, cfg.fallback), os.Stderr)
-		r.store = store
+		r.ledger = checkpoint.Ledger{
+			Store: store, Resume: cfg.resume,
+			Report: func(err error) { fmt.Fprintln(os.Stderr, "ber: checkpoint write failed:", err) },
+		}
 	}
 	var stopFabric func()
 	if cfg.serveAddr != "" {
 		// Coordinator mode: points are decoded by -join workers instead of
-		// local goroutines, and the coordinator takes over the ledger
-		// bookkeeping (resume, commit-cadence checkpoints, final records).
+		// local goroutines, and the coordinator runs them under the ledger
+		// (resume, commit-cadence checkpoints, final records).
 		// The listener goes up before the coordinator exists so a standby
 		// can be in the workers' -join lists from the start: it answers
 		// 503 until the handler is swapped in at takeover.
@@ -201,15 +203,14 @@ func main() {
 		// the primary is merely partitioned (not dead), its later commits
 		// are fenced off — promotion is safe against false positives.
 		co := fabric.NewCoordinator(fabric.Options{
-			LeaseTTL: cfg.leaseTTL, Store: r.store, Resume: cfg.resume,
-			CheckpointEvery: checkpointEveryBlocks, Log: os.Stderr,
-			Failovers: failovers,
+			LeaseTTL: cfg.leaseTTL, Store: r.ledger.Store, Resume: cfg.resume,
+			Log: os.Stderr, Failovers: failovers,
 		})
 		h := co.Handler()
 		live.Store(&h)
 		// Parsed by scripts (crash_resume.sh) to discover a :0 port.
 		fmt.Fprintf(os.Stderr, "ber: serving fabric on %s\n", ln.Addr())
-		r.fab, r.store, r.resume = co, nil, false
+		r.fab, r.ledger = co, checkpoint.Ledger{}
 		stopFabric = func() {
 			co.Shutdown()
 			// Let polling workers observe the shutdown before the
@@ -234,7 +235,7 @@ func main() {
 	}
 	if ctx.Err() != nil {
 		msg := "ber: interrupted; completed points were flushed"
-		if r.store != nil {
+		if r.ledger.Store != nil {
 			msg += "; partial progress checkpointed (rerun with -resume)"
 		}
 		fmt.Fprintln(os.Stderr, msg)
@@ -279,7 +280,7 @@ func parseArgs(args []string) (*cliConfig, error) {
 	psFlag := fs.String("ps", "5e-4,1e-3", "comma-separated physical error rates")
 	maxN := fs.Int("maxn", 64, "largest hyperbolic blocklength simulated (figs 17/18)")
 	workers := fs.Int("workers", 0, "shard workers per point (0 = GOMAXPROCS)")
-	shard := fs.Int("shard", 0, "shots per work shard (0 = 1024); results are identical for any value")
+	shard := fs.Int("shard", 0, fmt.Sprintf("shots per work shard (0 = the shard plan's default, %d); results are identical for any value", experiment.DefaultShardShots))
 	targetErrors := fs.Int("target-errors", 0, "stop a point after this many logical errors (0 = off)")
 	maxCI := fs.Float64("max-ci", 0, "stop a point when the Wilson 95% CI half-width reaches this (0 = off)")
 	checkpointDir := fs.String("checkpoint", "", "directory for crash-safe sweep checkpoints (empty = off)")
@@ -489,13 +490,6 @@ func decoderKindByName(name string) (experiment.DecoderKind, error) {
 
 var fpnArch = fpn.Options{UseFlags: true, FlagSharing: true, MaxDegree: 4}
 
-// checkpointEveryBlocks throttles mid-run checkpoint writes: a partial
-// prefix is persisted whenever it has grown by this many 64-shot blocks
-// since the last write. A SIGKILL therefore loses at most ~16k shots of
-// progress per point, while the atomic file rewrite stays far off the
-// hot path.
-const checkpointEveryBlocks = 256
-
 // runner carries the sweep-wide knobs and the pipeline cache, so every
 // (decoder, basis, p) point of a figure reuses the p-independent
 // network/schedule/round-plan artifacts of its code.
@@ -511,8 +505,7 @@ type runner struct {
 	maxCI        float64
 	decTimeout   time.Duration
 	fallback     []experiment.DecoderKind
-	store        *checkpoint.Store
-	resume       bool
+	ledger       checkpoint.Ledger   // the zero value in -serve mode: the coordinator keeps the ledger
 	fab          *fabric.Coordinator // non-nil in -serve mode: points run on the fabric
 }
 
@@ -536,73 +529,19 @@ func (r *runner) pointSched(code *css.Code, arch fpn.Options, sched *schedule.Sc
 		TargetErrors: r.targetErrors, MaxCI: r.maxCI,
 		DecodeTimeout: r.decTimeout, Fallback: r.fallback,
 	}
+	run := r.sweep.RunContext
 	if r.fab != nil {
-		// Fabric mode: the coordinator runs the point on whatever workers
-		// are joined and does the ledger bookkeeping itself; the result
-		// (and thus the printed line) is bit-identical to a local run.
-		res, err := r.fab.RunPoint(r.ctx, cfg)
-		if err != nil {
-			fmt.Printf("%-18s %-22s %c p=%-8.1e error: %v\n", code.Name, dec, basis, p, err)
-			return
-		}
-		// Quarantined shards surface exactly like local shard failures, so
-		// a fleet operator reads the same repro lines either way.
-		for i := range res.ShardErrors {
-			fmt.Fprintln(os.Stderr, "ber: "+res.ShardErrors[i].Error())
-		}
-		if res.Interrupted {
-			fmt.Fprintf(os.Stderr, "ber: %s %s %c p=%.1e interrupted at %d/%d shots\n",
-				code.Name, dec, basis, p, res.Shots, r.shots)
-			return
-		}
-		r.print(code, dec, basis, p, res)
-		return
+		// Fabric mode: joined workers decode the point; the result (and
+		// thus the printed line) is bit-identical to a local run.
+		run = r.fab.RunPoint
 	}
-	var key string
-	if r.store != nil {
-		key = cfg.Fingerprint()
-		if rec, ok := r.store.Lookup(key); ok && r.resume {
-			if rec.Done {
-				// Finished in an earlier run: report it exactly as that
-				// run did, without resampling a single shot.
-				r.print(code, dec, basis, p, experiment.Reconstruct(cfg, rec.Blocks, rec.Shots, rec.Errors, rec.EarlyStopped))
-				return
-			}
-			cfg.Resume = &experiment.Resume{Blocks: rec.Blocks, Shots: rec.Shots, Errors: rec.Errors}
-		}
-		// Persist the growing prefix so a SIGKILL mid-point resumes at
-		// the last committed watermark instead of restarting the point.
-		lastSaved := 0
-		if cfg.Resume != nil {
-			lastSaved = cfg.Resume.Blocks
-		}
-		cfg.OnCommit = func(pr experiment.Progress) {
-			if pr.Blocks-lastSaved < checkpointEveryBlocks {
-				return
-			}
-			lastSaved = pr.Blocks
-			if err := r.store.Put(checkpoint.Record{Key: key, Blocks: pr.Blocks, Shots: pr.Shots, Errors: pr.Errors}); err != nil {
-				fmt.Fprintln(os.Stderr, "ber: checkpoint write failed:", err)
-			}
-		}
-	}
-	res, err := r.sweep.RunContext(r.ctx, cfg)
+	res, err := r.ledger.RunPoint(r.ctx, cfg, run)
 	if err != nil {
 		fmt.Printf("%-18s %-22s %c p=%-8.1e error: %v\n", code.Name, dec, basis, p, err)
 		return
 	}
 	for i := range res.ShardErrors {
 		fmt.Fprintln(os.Stderr, "ber: "+res.ShardErrors[i].Error())
-	}
-	if r.store != nil {
-		rec := checkpoint.Record{
-			Key: key, Blocks: res.Blocks, Shots: res.Shots, Errors: res.LogicalErrors,
-			EarlyStopped: res.EarlyStopped,
-			Done:         !res.Interrupted && len(res.ShardErrors) == 0,
-		}
-		if err := r.store.Put(rec); err != nil {
-			fmt.Fprintln(os.Stderr, "ber: checkpoint write failed:", err)
-		}
 	}
 	if res.Interrupted {
 		fmt.Fprintf(os.Stderr, "ber: %s %s %c p=%.1e interrupted at %d/%d shots\n",

@@ -313,7 +313,7 @@ type batchScratch struct {
 
 	// Scalar-fallback lane view: the closure is built once per scratch
 	// and reads the mutable (res, shot) pair, like the engine's
-	// shotCounter.
+	// shardRes.
 	res  *sim.Result
 	shot int
 	bit  func(int) bool

@@ -72,7 +72,7 @@ func (recoveredErrDecoder) Decode(bit func(int) bool) (corr []bool, err error) {
 func TestRecoveredDecodePanicCountsAsFailure(t *testing.T) {
 	c, _ := crashWorkload(t, 1e-3)
 	cfg := Config{Shots: 640, Seed: 3, Workers: 2, ShardShots: 64}
-	out := runEngine(context.Background(), c, recoveredErrDecoder{}, nil, cfg)
+	out := runEngine(context.Background(), newBlockRunner(cfg, c, recoveredErrDecoder{}, nil))
 	if out.shots != 640 || out.errs != 640 {
 		t.Fatalf("decode errors must count as logical errors: got %d/%d, want 640/640", out.errs, out.shots)
 	}
@@ -91,7 +91,7 @@ func TestShardPanicQuarantine(t *testing.T) {
 	// so call 320 is the first shot of block 5.
 	bad := &panicOnCall{dec: dec, n: 320}
 	cfg := Config{Shots: 640, Seed: seed, Workers: 1, ShardShots: 64}
-	out := runEngine(context.Background(), c, bad, nil, cfg)
+	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, nil))
 	if len(out.shardErrs) != 1 {
 		t.Fatalf("want exactly one quarantined shard, got %d (%+v)", len(out.shardErrs), out.shardErrs)
 	}
@@ -113,7 +113,7 @@ func TestShardPanicQuarantine(t *testing.T) {
 		t.Fatal("shard error carries no stack")
 	}
 	// The prefix must be bit-identical to a healthy run's first 5 blocks.
-	clean := runEngine(context.Background(), c, dec, nil, Config{Shots: 320, Seed: seed, Workers: 1, ShardShots: 64})
+	clean := runEngine(context.Background(), newBlockRunner(Config{Shots: 320, Seed: seed, Workers: 1, ShardShots: 64}, c, dec, nil))
 	if out.errs != clean.errs {
 		t.Fatalf("quarantined run's prefix differs from a clean 320-shot run: %d vs %d errors", out.errs, clean.errs)
 	}
@@ -132,7 +132,7 @@ func TestFallbackChainRescuesShard(t *testing.T) {
 		return dec, nil
 	}
 	cfg := Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64, Fallback: []DecoderKind{PlainMWPM}}
-	out := runEngine(context.Background(), c, bad, mk, cfg)
+	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, mk))
 	if len(out.shardErrs) != 0 {
 		t.Fatalf("fallback chain did not rescue the shard: %+v", out.shardErrs)
 	}
@@ -142,7 +142,7 @@ func TestFallbackChainRescuesShard(t *testing.T) {
 	if out.fallbackBlocks != 1 {
 		t.Fatalf("FallbackBlocks = %d, want 1", out.fallbackBlocks)
 	}
-	clean := runEngine(context.Background(), c, dec, nil, Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64})
+	clean := runEngine(context.Background(), newBlockRunner(Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64}, c, dec, nil))
 	if out.errs != clean.errs {
 		t.Fatalf("identical fallback decoder changed the result: %d vs %d errors", out.errs, clean.errs)
 	}
@@ -156,7 +156,7 @@ func TestFallbackChainExhausted(t *testing.T) {
 	// The fallback panics too, on its first call: the shard stays dead.
 	alsoBad := func(DecoderKind) (Decoder, error) { return &panicOnCall{dec: dec, n: 0}, nil }
 	cfg := Config{Shots: 256, Seed: 9, Workers: 1, ShardShots: 64, Fallback: []DecoderKind{PlainMWPM}}
-	out := runEngine(context.Background(), c, bad, alsoBad, cfg)
+	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, alsoBad))
 	if len(out.shardErrs) != 1 {
 		t.Fatalf("want one quarantined shard after fallback exhaustion, got %+v", out.shardErrs)
 	}

@@ -1,13 +1,16 @@
 // Sharded streaming Monte-Carlo engine. A run's shots are split into
-// fixed 64-shot sampling blocks (one bit-packed word each); workers
-// claim shards — contiguous runs of blocks — from an atomic counter and
-// own each shard end-to-end: simulate, decode, count. A shard is
-// sampled in one multi-word pass, but every block inside it consumes
-// its own RNG stream seeded seedmix.Derive(cfg.Seed, blockIndex), so
-// the sampled error stream of a block depends only on (circuit, base
-// seed, block index) and the run's outcome is bit-identical for any
-// worker count and any shard size. Peak memory is O(workers ×
-// shardShots × detectors) instead of the former O(shots × detectors).
+// fixed 64-shot sampling blocks (one bit-packed word each); the
+// frontier's shard plan groups them into shards — contiguous runs of
+// blocks — and in-process workers claim shards from an atomic counter.
+// The engine runs on BlockRunner, the one shard path: each claimed
+// shard is simulated, decoded and counted by BlockRunner.climb, exactly
+// as a fabric worker counts a leased one. A shard is sampled in one
+// multi-word pass, but every block inside it consumes its own RNG
+// stream seeded seedmix.Derive(cfg.Seed, blockIndex), so the sampled
+// error stream of a block depends only on (circuit, base seed, block
+// index) and the run's outcome is bit-identical for any worker count
+// and any shard size. Peak memory is O(workers × shardShots ×
+// detectors) instead of O(shots × detectors).
 //
 // Early stopping is deterministic too: block results are committed
 // strictly in block order, and the stop criteria (target logical-error
@@ -60,11 +63,6 @@ import (
 // seeds are derived per block, never per shard, so shard size is a pure
 // scheduling knob with no statistical footprint.
 const blockShots = 64
-
-// defaultShardShots is the work-claiming granularity when
-// Config.ShardShots is zero: large enough to amortize the claim and
-// commit synchronization, small enough to load-balance tail shards.
-const defaultShardShots = 1024
 
 // Resume restarts the engine from a previously committed prefix: the
 // first Blocks 64-shot blocks are taken as already counted, holding
@@ -185,32 +183,13 @@ func (pl *Pipeline) RunContext(ctx context.Context, cfg Config) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	out := runEngine(ctx, c, dec, mk, cfg)
-	ber := 0.0
-	if out.shots > 0 {
-		ber = float64(out.errs) / float64(out.shots)
-	}
-	lo, hi := wilson(out.errs, out.shots)
-	return &Result{
-		Config:         cfg,
-		Net:            pl.Net,
-		LatencyNs:      pl.Plan.LatencyNs,
-		Shots:          out.shots,
-		Blocks:         out.blocks,
-		LogicalErrors:  out.errs,
-		BER:            ber,
-		BERNorm:        ber / float64(cfg.Code.K),
-		CILow:          lo,
-		CIHigh:         hi,
-		EarlyStopped:   out.early,
-		Interrupted:    out.interrupted,
-		FallbackBlocks: out.fallbackBlocks,
-		TimeoutBlocks:  out.timeoutBlocks,
-		DegradedBlocks: out.degradedBlocks,
-		ShardErrors:    out.shardErrs,
-		MemoHits:       out.memoHits,
-		MemoMisses:     out.memoMisses,
-	}, nil
+	out := runEngine(ctx, newBlockRunner(cfg, c, dec, mk))
+	res := Reconstruct(cfg, out.blocks, out.shots, out.errs, out.early)
+	res.Net, res.LatencyNs = pl.Net, pl.Plan.LatencyNs
+	res.Interrupted, res.ShardErrors = out.interrupted, out.shardErrs
+	res.FallbackBlocks, res.TimeoutBlocks, res.DegradedBlocks = out.fallbackBlocks, out.timeoutBlocks, out.degradedBlocks
+	res.MemoHits, res.MemoMisses = out.memoHits, out.memoMisses
+	return res, nil
 }
 
 // buildTail validates cfg, normalizes its defaults (Rounds, pipeline
@@ -323,15 +302,10 @@ func validate(cfg Config) error {
 		if r.Errors > r.Shots {
 			return fmt.Errorf("experiment: Resume.Errors %d exceeds Resume.Shots %d", r.Errors, r.Shots)
 		}
-		total := (cfg.Shots + blockShots - 1) / blockShots
-		if r.Blocks > total {
+		if total := blocksOf(cfg.Shots); r.Blocks > total {
 			return fmt.Errorf("experiment: Resume.Blocks %d exceeds the run's %d blocks (checkpoint from a different Shots?)", r.Blocks, total)
 		}
-		want := r.Blocks * blockShots
-		if want > cfg.Shots {
-			want = cfg.Shots
-		}
-		if r.Shots != want {
+		if want := spanShots(cfg.Shots, 0, r.Blocks); r.Shots != want {
 			return fmt.Errorf("experiment: Resume.Shots %d inconsistent with %d committed blocks (want %d; checkpoint from a different configuration?)", r.Shots, r.Blocks, want)
 		}
 	}
@@ -452,17 +426,16 @@ type engineOut struct {
 	memoMisses     int64
 }
 
-// runEngine is the sharded simulate→decode→count loop. mkDecoder builds
-// fallback decoders on demand (nil disables the fallback chain). The
-// committed prefix is returned even when the run is cancelled or a
-// shard is quarantined; it is always a valid Resume point.
-func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder func(DecoderKind) (Decoder, error), cfg Config) engineOut {
+// runEngine is the in-process scheduler over the frontier: workers
+// claim the shards of its plan in order, count each on r's one shard
+// path, and mark and commit the counts. The committed prefix is
+// returned even when the run is cancelled or a shard is quarantined;
+// it is always a valid Resume point.
+func runEngine(ctx context.Context, r *BlockRunner) engineOut {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fr := NewFrontier(cfg)
-	totalBlocks := fr.Total()
-	start := fr.Start()
+	fr := NewFrontier(r.cfg)
 	if fr.Done() {
 		// The resumed prefix already covers the run, or was written
 		// exactly at a stop boundary the writer did not evaluate;
@@ -471,19 +444,10 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 		p := fr.State()
 		return engineOut{blocks: p.Blocks, shots: p.Shots, errs: p.Errors, early: fr.Finalized()}
 	}
-	shardShots := cfg.ShardShots
-	if shardShots <= 0 {
-		shardShots = defaultShardShots
-	}
-	shardBlocks := (shardShots + blockShots - 1) / blockShots
-	remBlocks := totalBlocks - start
-	numShards := (remBlocks + shardBlocks - 1) / shardBlocks
-	workers := cfg.Workers
+	_, maxBlocks := fr.Shard(r.cfg.ShardShots, 0) // the plan's first shard is its largest
+	workers := r.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numShards {
-		workers = numShards
 	}
 	var (
 		nextShard atomic.Int64
@@ -501,21 +465,18 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 			stop.Store(true)
 		}
 	}
-	lad := newLadder(cfg, dec, mkDecoder)
 	halt := stop.Load
-	// Every rung redoes the primary's exact work (same seed, same
-	// firstBlock), so a rescued shard is bit-identical to one the
-	// fallback decoded from the start.
-	try := func(res *shardRes) ([]int, error) { return res.count(cfg.Seed, halt) }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var first, shots int // the shard being climbed
-			open := func(p *DecoderPool) *shardRes { return newShardRes(c, shardBlocks, p.Get(), first, shots) }
-			res := open(lad.pools.primary) // reused until an attempt abandoned at its deadline keeps it
-			defer func() { res.Release() }()
+			var res *shardRes // opened at the first shard; reused until an attempt abandoned at its deadline keeps it
+			defer func() {
+				if res != nil {
+					res.Release()
+				}
+			}()
 			for !stop.Load() {
 				if ctx.Err() != nil {
 					// Cancellation is observed at shard boundaries; the
@@ -524,33 +485,28 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 					return
 				}
 				sh := int(nextShard.Add(1) - 1)
-				if sh >= numShards {
+				first, n := fr.Shard(r.cfg.ShardShots, sh)
+				if n == 0 || first >= fr.Limit() {
+					// Past the plan, or at or past a failed shard, where
+					// nothing can ever commit.
 					return
 				}
-				first = start + sh*shardBlocks
-				if first >= fr.Limit() {
-					// Nothing at or past a failed shard can ever commit.
-					return
+				if res == nil {
+					res = r.open(r.ladder.pools.primary, maxBlocks, halt)
 				}
-				end := first + shardBlocks
-				if end > totalBlocks {
-					end = totalBlocks
-				}
-				shots = min(end*blockShots, cfg.Shots) - first*blockShots
-				res.first, res.shots = first, shots
-				out := Climb(lad, &res, open, try)
+				out := r.climb(r.ladder, &res, first, n, halt)
 				failed := out.Err != nil || out.Verdict.Failed()
 				mu.Lock()
 				if out.Verdict.TimedOut() {
-					toBlocks += end - first
+					toBlocks += n
 				}
 				switch {
 				case failed:
-					serrs = append(serrs, shardError(cfg, sh, first, end, out))
+					serrs = append(serrs, shardError(r.cfg, sh, first, n, out))
 				case out.Verdict == VerdictRescued:
-					fbBlocks += end - first
+					fbBlocks += n
 				case out.Verdict == VerdictDegraded:
-					dgBlocks += end - first
+					dgBlocks += n
 				}
 				mu.Unlock()
 				if failed {
@@ -571,7 +527,7 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 	mu.Lock()
 	defer mu.Unlock()
 	sort.Slice(serrs, func(i, j int) bool { return serrs[i].FirstBlock < serrs[j].FirstBlock })
-	memoH, memoM := lad.pools.memoStats()
+	memoH, memoM := r.ladder.pools.memoStats()
 	p := fr.State()
 	finalized := fr.Finalized()
 	return engineOut{
@@ -579,7 +535,7 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 		shots:          p.Shots,
 		errs:           p.Errors,
 		early:          finalized,
-		interrupted:    ctx.Err() != nil && !finalized && p.Blocks < totalBlocks,
+		interrupted:    ctx.Err() != nil && !finalized && p.Blocks < fr.Total(),
 		fallbackBlocks: fbBlocks,
 		timeoutBlocks:  toBlocks,
 		degradedBlocks: dgBlocks,
@@ -590,8 +546,8 @@ func runEngine(ctx context.Context, c *circuit.Circuit, dec Decoder, mkDecoder f
 }
 
 // shardError reports a shard no rung could decode.
-func shardError(cfg Config, sh, first, end int, out Outcome[[]int]) ShardError {
-	se := ShardError{Seed: cfg.Seed, Shard: sh, FirstBlock: first, Blocks: end - first, Decoder: out.Kind.String()}
+func shardError(cfg Config, sh, first, n int, out Outcome[[]int]) ShardError {
+	se := ShardError{Seed: cfg.Seed, Shard: sh, FirstBlock: first, Blocks: n, Decoder: out.Kind.String()}
 	switch {
 	case out.Err != nil:
 		se.PanicValue = out.Err
@@ -609,90 +565,6 @@ func shardError(cfg Config, sh, first, end int, out Outcome[[]int]) ShardError {
 // their full shot budget instead of stopping on an empty estimate.
 func stopSatisfied(cfg Config, errs, shots int) bool {
 	return stopCriteria(cfg.TargetErrors, cfg.MaxCI, errs, shots)
-}
-
-// shardRes is all one shard attempt owns, so an attempt abandoned at
-// its deadline shares no buffer with a live one.
-type shardRes struct {
-	first, shots int // first 64-shot block, shots from it on
-	smp          *sim.BlockSampler
-	counts       []int
-	sc           shotCounter
-}
-
-func newShardRes(c *circuit.Circuit, blocks int, dec *PooledDecoder, first, shots int) *shardRes {
-	r := &shardRes{first: first, shots: shots, smp: sim.NewBlockSampler(c, blocks), counts: make([]int, blocks)}
-	r.sc = shotCounter{c: c, dec: dec}
-	r.sc.bit = r.sc.detectorBit // one closure per owner, not per shot
-	return r
-}
-
-// Release returns the decode scratch to its pool.
-func (r *shardRes) Release() { r.sc.dec.Release() }
-
-// count samples the shard and counts each 64-shot block's logical
-// errors, checking halt before every block, and returns the counts of
-// the blocks it finished. It runs on a ladder rung, which recovers any
-// panic below it into a Fault the caller reports with the shard's
-// (seed, firstBlock) repro; a shard shape the sampler would panic on is
-// returned as an error instead.
-func (r *shardRes) count(seed int64, halt func() bool) ([]int, error) {
-	if err := r.smp.Validate(r.first, r.shots); err != nil {
-		return nil, err
-	}
-	r.sc.res = r.smp.Run(r.first, r.shots, seed)
-	n := (r.shots + blockShots - 1) / blockShots
-	for b := 0; b < n; b++ {
-		if halt() {
-			return r.counts[:b], nil
-		}
-		r.counts[b] = r.sc.countShots(b*blockShots, min(blockShots, r.shots-b*blockShots))
-	}
-	return r.counts[:n], nil
-}
-
-// shotCounter is one worker's decode-and-count state. The detector-bit
-// closure is built once per worker and reads the mutable (res, shot)
-// fields, so the per-shot loop allocates nothing.
-type shotCounter struct {
-	c    *circuit.Circuit
-	dec  *PooledDecoder
-	res  *sim.Result
-	shot int
-	bit  func(int) bool
-}
-
-func (sc *shotCounter) detectorBit(d int) bool { return sc.res.DetectorBit(d, sc.shot) }
-
-// countShots decodes shots lanes starting at laneLo of the current
-// sampled shard and counts logical errors. A decoding failure counts as
-// a logical error, as before — including matching panics that the
-// decoder package recovers into errors at its Decode boundary. Callers
-// hand it exactly one 64-shot block at a time (laneLo is 64-aligned,
-// shots ≤ 64), which is what lets it route whole blocks through the
-// batch seam when the pooled decoder has one; the scalar loop below is
-// the fallback and the bit-identity reference.
-func (sc *shotCounter) countShots(laneLo, shots int) int {
-	if laneLo%blockShots == 0 && shots <= blockShots {
-		if errs, ok := sc.dec.DecodeBlock(sc.res, laneLo, shots); ok {
-			return errs
-		}
-	}
-	errs := 0
-	for sc.shot = laneLo; sc.shot < laneLo+shots; sc.shot++ {
-		corr, err := sc.dec.Decode(sc.bit)
-		if err != nil {
-			errs++
-			continue
-		}
-		for o := range sc.c.Observables {
-			if corr[o] != sc.res.ObservableBit(o, sc.shot) {
-				errs++
-				break
-			}
-		}
-	}
-	return errs
 }
 
 // Sweep caches pipelines across the points of a figure: all (decoder,

@@ -17,7 +17,7 @@ const benchShots = 2048
 // detector error model, decoder — so the benchmarks below time only the
 // simulate→decode→count engine, the part that dominates cluster-scale
 // shot counts.
-func benchWorkload(b *testing.B) (*circuit.Circuit, Decoder) {
+func benchWorkload(b testing.TB) (*circuit.Circuit, Decoder) {
 	b.Helper()
 	code := hyper55(b)
 	pl, err := NewPipeline(code, engineArch)
@@ -52,7 +52,7 @@ func benchmarkEngine(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runEngine(context.Background(), c, dec, nil, cfg)
+		runEngine(context.Background(), newBlockRunner(cfg, c, dec, nil))
 	}
 	b.ReportMetric(float64(benchShots)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
 }

@@ -74,8 +74,9 @@ type Config struct {
 	// bit-identical for any worker count.
 	//fpnvet:sched parallelism only reshapes scheduling; shard seeding fixes the streams
 	Workers int
-	// ShardShots is the work-claiming granularity in shots (0 → 1024,
-	// rounded up to whole 64-shot blocks). Purely a scheduling knob:
+	// ShardShots is the shard plan's granularity in shots (0 →
+	// DefaultShardShots, rounded up to whole 64-shot blocks; see
+	// Frontier.Shard). Purely a scheduling knob:
 	// RNG streams are derived per 64-shot block, so the result is
 	// bit-identical for any shard size.
 	//fpnvet:sched shard size only regroups blocks; per-block seeding fixes the streams
@@ -201,17 +202,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	var pl *Pipeline
-	var err error
-	if cfg.Schedule != nil {
-		pl, err = NewPipelineFromSchedule(cfg.Code, cfg.Schedule)
-	} else {
-		pl, err = NewPipeline(cfg.Code, cfg.Arch)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return pl.RunContext(ctx, cfg)
+	return NewSweep().RunContext(ctx, cfg)
 }
 
 // Reconstruct rebuilds the statistical fields of a Result from a

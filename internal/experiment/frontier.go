@@ -1,17 +1,16 @@
-// Block-ordered commit frontier. This is the engine's determinism core,
-// extracted into its own type so the distributed sweep fabric
-// (internal/fabric) merges worker-streamed block results through the
-// exact same commit and early-stopping logic a single-machine run uses
+// Block-ordered commit frontier and the one shard plan. This is the
+// engine's determinism core: the local engine and the distributed sweep
+// fabric (internal/fabric) cut a run into the same shards and merge
+// their block results through the same commit and early-stopping logic
 // — bit-identity of a distributed sweep is then a property of shared
 // code, not of two implementations agreeing.
 //
-// The contract is the one runEngine has always had: per-block
-// logical-error counts are a pure function of (circuit, base seed,
-// block index); the frontier commits blocks in strict block order and
-// evaluates the stop criteria (TargetErrors, MaxCI) only against the
-// committed prefix, so the final (Blocks, Shots, Errors) triple does
-// not depend on which worker produced which block, in which order, or
-// how often a block was (re)computed.
+// The contract: per-block logical-error counts are a pure function of
+// (circuit, base seed, block index); the frontier commits blocks in
+// strict block order and evaluates the stop criteria (TargetErrors,
+// MaxCI) only against the committed prefix, so the final (Blocks,
+// Shots, Errors) triple does not depend on which worker produced which
+// block, in which order, or how often a block was (re)computed.
 package experiment
 
 import (
@@ -29,8 +28,8 @@ import (
 // criterion fires.
 type Frontier struct {
 	shots  int     //fpnvet:unguarded immutable after NewFrontier (total shot budget, Config.Shots)
-	target int     // Config.TargetErrors
-	maxCI  float64 // Config.MaxCI
+	target int     //fpnvet:unguarded immutable after NewFrontier (Config.TargetErrors)
+	maxCI  float64 //fpnvet:unguarded immutable after NewFrontier (Config.MaxCI)
 
 	start     int          //fpnvet:unguarded immutable after NewFrontier (resume prefix)
 	total     int          //fpnvet:unguarded immutable after NewFrontier (total 64-shot blocks)
@@ -47,13 +46,12 @@ type Frontier struct {
 
 // NewFrontier builds the commit frontier for cfg, honoring cfg.Resume
 // as the already-committed prefix and cfg.OnCommit as the progress
-// hook (invoked with the frontier lock held, exactly like the engine's
-// checkpoint hook). A resume prefix that already satisfies a stop
-// criterion finalizes the frontier immediately — the same boundary case
-// runEngine has always honored so a checkpoint written exactly at a
-// stop point resumes bit-identically.
+// hook (invoked with the frontier lock held; the ledger policy's
+// checkpoint puts run there). A resume prefix that already satisfies a
+// stop criterion finalizes the frontier immediately, so a checkpoint
+// written exactly at a stop point resumes bit-identically.
 func NewFrontier(cfg Config) *Frontier {
-	total := (cfg.Shots + blockShots - 1) / blockShots
+	total := blocksOf(cfg.Shots)
 	f := &Frontier{
 		shots: cfg.Shots, target: cfg.TargetErrors, maxCI: cfg.MaxCI,
 		total: total, onCommit: cfg.OnCommit,
@@ -74,20 +72,37 @@ func NewFrontier(cfg Config) *Frontier {
 // Total reports the run's total 64-shot block count.
 func (f *Frontier) Total() int { return f.total }
 
-// Start reports the first block that was uncommitted at construction.
-func (f *Frontier) Start() int { return f.start }
+// DefaultShardShots is the shard plan's shard size when
+// Config.ShardShots is zero: large enough to amortize the claim and
+// commit synchronization, small enough to load-balance tail shards.
+const DefaultShardShots = 1024
 
-// blockLen is the shot count of block b: 64 except for a short tail.
-func (f *Frontier) blockLen(b int) int {
-	if n := f.shots - b*blockShots; n < blockShots {
-		return n
+// Shard returns shard i of the run's one shard plan, which the engine's
+// workers claim and the fabric coordinator leases: the blocks after the
+// resumed prefix, cut into runs of shardShots shots (0 means
+// DefaultShardShots) rounded up to whole 64-shot blocks. It reports the
+// shard's first block and block count; blocks is 0 past the last shard.
+func (f *Frontier) Shard(shardShots, i int) (first, blocks int) {
+	if shardShots <= 0 {
+		shardShots = DefaultShardShots
 	}
-	return blockShots
+	per := blocksOf(shardShots)
+	first = f.start + i*per
+	return first, max(0, min(per, f.total-first))
+}
+
+// blocksOf is the number of 64-shot blocks holding shots shots.
+func blocksOf(shots int) int { return (shots + blockShots - 1) / blockShots }
+
+// spanShots is the shot count of blocks [first, first+n) of a run of
+// shots shots: 64 per block, except for a short tail.
+func spanShots(shots, first, n int) int {
+	return min((first+n)*blockShots, shots) - first*blockShots
 }
 
 // Mark records block's decoded logical-error count. The block must lie
-// in [Start, Total); marking outside that range is a caller bug and
-// panics with the offending coordinates.
+// after the resumed prefix and before Total; marking outside that range
+// is a caller bug and panics with the offending coordinates.
 func (f *Frontier) Mark(block, errs int) {
 	if block < f.start || block >= f.total {
 		panic(fmt.Sprintf("experiment: Frontier.Mark(%d) outside [%d, %d)", block, f.start, f.total))
@@ -126,7 +141,7 @@ func (f *Frontier) Commit() bool {
 			break
 		}
 		f.comErrs += int(v - 1)
-		f.comShots += f.blockLen(f.committed)
+		f.comShots += spanShots(f.shots, f.committed, 1)
 		f.committed++
 		if f.comShots < f.shots && stopCriteria(f.target, f.maxCI, f.comErrs, f.comShots) {
 			f.finalized = true

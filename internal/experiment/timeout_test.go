@@ -63,7 +63,7 @@ func TestHungDecoderRescuedByFallbackWithinDeadline(t *testing.T) {
 		DecodeTimeout: time.Second,
 	}
 	begin := time.Now()
-	out := runEngine(context.Background(), c, bad, mk, cfg)
+	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, mk))
 	elapsed := time.Since(begin)
 	if len(out.shardErrs) != 0 {
 		t.Fatalf("deadline + fallback did not rescue the hung shard: %+v", out.shardErrs)
@@ -85,7 +85,7 @@ func TestHungDecoderRescuedByFallbackWithinDeadline(t *testing.T) {
 	if budget := cfg.DecodeTimeout + 30*time.Second; elapsed > budget {
 		t.Fatalf("run took %v, exceeding the deadline budget %v", elapsed, budget)
 	}
-	clean := runEngine(context.Background(), c, dec, nil, Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64})
+	clean := runEngine(context.Background(), newBlockRunner(Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64}, c, dec, nil))
 	if out.errs != clean.errs {
 		t.Fatalf("degraded run diverged from clean run: %d vs %d errors", out.errs, clean.errs)
 	}
@@ -97,11 +97,11 @@ func TestSlowDecoderUnderDeadlineBitIdentical(t *testing.T) {
 	c, dec := crashWorkload(t, 2e-3)
 	slow := &slowOnCall{dec: dec, delay: 50 * time.Microsecond}
 	cfg := Config{Shots: 640, Seed: 7, Workers: 2, ShardShots: 64, DecodeTimeout: 30 * time.Second}
-	out := runEngine(context.Background(), c, slow, nil, cfg)
+	out := runEngine(context.Background(), newBlockRunner(cfg, c, slow, nil))
 	if out.timeoutBlocks != 0 || out.degradedBlocks != 0 || len(out.shardErrs) != 0 {
 		t.Fatalf("slow decoder under deadline must not degrade: %+v", out)
 	}
-	clean := runEngine(context.Background(), c, dec, nil, Config{Shots: 640, Seed: 7, Workers: 2, ShardShots: 64})
+	clean := runEngine(context.Background(), newBlockRunner(Config{Shots: 640, Seed: 7, Workers: 2, ShardShots: 64}, c, dec, nil))
 	if out.shots != clean.shots || out.errs != clean.errs {
 		t.Fatalf("watchdog path changed the result: got %d/%d, want %d/%d",
 			out.errs, out.shots, clean.errs, clean.shots)
@@ -117,7 +117,7 @@ func TestHungDecoderWithoutFallbackQuarantines(t *testing.T) {
 	defer close(release)
 	bad := &hangOnCall{dec: dec, n: 320, release: release}
 	cfg := Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64, DecodeTimeout: 250 * time.Millisecond}
-	out := runEngine(context.Background(), c, bad, nil, cfg)
+	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, nil))
 	if len(out.shardErrs) != 1 {
 		t.Fatalf("want one quarantined shard, got %+v", out.shardErrs)
 	}

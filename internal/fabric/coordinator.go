@@ -1,7 +1,8 @@
-// The coordinator side of the fabric: owns the shard plan, the lease
-// table and the commit frontier of one sweep point at a time, and
-// exposes them over four HTTP endpoints. All result-affecting state
-// flows through experiment.Frontier and the deterministic shard plan;
+// The coordinator side of the fabric: leases out the frontier's shard
+// plan — the one the local engine's workers claim — and owns the lease
+// table and the commit frontier of one sweep point at a time, exposing
+// them over four HTTP endpoints. All result-affecting state flows
+// through experiment.Frontier and its deterministic shard plan;
 // the clock only ever decides when an unfinished shard may be handed to
 // another worker, and recomputing a shard is idempotent by determinism
 // — so any lease-expiry schedule yields the same merged result.
@@ -39,7 +40,7 @@ type Options struct {
 	// instead of restarting them.
 	Resume bool
 	// CheckpointEvery is the ledger write cadence in committed blocks;
-	// 0 means 256.
+	// 0 means checkpoint.DefaultEvery.
 	CheckpointEvery int
 	// Log, when non-nil, receives one-line operational notes (lease
 	// reassignments, conflicting completions, checkpoint errors).
@@ -74,11 +75,9 @@ func defaultNow() time.Time { return time.Now() }
 // point is in flight at a time, matching the single-machine sweep
 // order) and Shutdown when the sweep is over so workers exit.
 type Coordinator struct {
-	now       func() time.Time //fpnvet:unguarded immutable after NewCoordinator
-	ttl       time.Duration    //fpnvet:unguarded immutable after NewCoordinator
-	store     *checkpoint.Store
-	rsm       bool
-	every     int
+	now       func() time.Time  //fpnvet:unguarded immutable after NewCoordinator
+	ttl       time.Duration     //fpnvet:unguarded immutable after NewCoordinator
+	ledger    checkpoint.Ledger //fpnvet:unguarded immutable after NewCoordinator
 	log       io.Writer
 	epoch     int64 //fpnvet:unguarded immutable after NewCoordinator
 	poison    int   //fpnvet:unguarded immutable after NewCoordinator
@@ -148,31 +147,30 @@ func NewCoordinator(opt Options) *Coordinator {
 	if ttl <= 0 {
 		ttl = 30 * time.Second
 	}
-	every := opt.CheckpointEvery
-	if every <= 0 {
-		every = 256
-	}
 	poison := opt.PoisonAfter
 	if poison <= 0 {
 		poison = 3
 	}
 	c := &Coordinator{
-		now: now, ttl: ttl, store: opt.Store, rsm: opt.Resume, every: every,
-		log: opt.Log, poison: poison, failovers: opt.Failovers,
+		now: now, ttl: ttl, log: opt.Log, poison: poison, failovers: opt.Failovers,
+	}
+	c.ledger = checkpoint.Ledger{
+		Store: opt.Store, Resume: opt.Resume, Every: opt.CheckpointEvery,
+		Report: func(err error) { c.logf("checkpoint: %v", err) },
 	}
 	c.epoch = opt.Epoch
 	if c.epoch == 0 {
 		c.epoch = 1
-		if c.store != nil {
-			if prev, ok := c.store.Meta(epochMetaKey); ok {
+		if opt.Store != nil {
+			if prev, ok := opt.Store.Meta(epochMetaKey); ok {
 				if n, err := strconv.ParseInt(prev, 10, 64); err == nil && n > 0 {
 					c.epoch = n + 1
 				}
 			}
 		}
 	}
-	if c.store != nil {
-		if err := c.store.SetMeta(epochMetaKey, strconv.FormatInt(c.epoch, 10)); err != nil {
+	if opt.Store != nil {
+		if err := opt.Store.SetMeta(epochMetaKey, strconv.FormatInt(c.epoch, 10)); err != nil {
 			c.logf("persisting epoch %d: %v", c.epoch, err)
 		}
 	}
@@ -367,11 +365,11 @@ func (c *Coordinator) quarantineLocked(jb *job, i int, sh *shardState) {
 	})
 	c.logf("quarantining shard %d (blocks %d+%d) after %d abandonments by %d workers; last error: %s",
 		i, sh.first, sh.blocks, sh.events, len(sh.abandons), sh.lastErr)
-	if c.store != nil {
+	if st := c.ledger.Store; st != nil {
 		key := "quarantine:" + jb.fp + ":" + strconv.Itoa(sh.first)
 		val := fmt.Sprintf("shard=%d first=%d blocks=%d seed=%d decoder=%s events=%d workers=%d err=%q",
 			i, sh.first, sh.blocks, jb.seed, jb.dec, sh.events, len(sh.abandons), sh.lastErr)
-		if err := c.store.SetMeta(key, val); err != nil {
+		if err := st.SetMeta(key, val); err != nil {
 			c.logf("recording quarantine repro: %v", err)
 		}
 	}
@@ -598,11 +596,12 @@ func (c *Coordinator) completeLocked(jb *job) {
 
 // RunPoint runs one sweep point to completion on whatever workers join,
 // mirroring Pipeline.RunContext's contract: the committed prefix comes
-// back as a partial Result with Interrupted set when ctx is cancelled,
-// and ledger bookkeeping (resume, periodic checkpoints, the final Done
-// record) happens here when Options.Store is set. The config must
-// survive the wire codec verbatim — RunPoint proves it by fingerprint
-// round-trip before publishing the job.
+// back as a partial Result with Interrupted set when ctx is cancelled.
+// When Options.Store is set, the job runs under checkpoint.Ledger, the
+// same ledger policy a local ber sweep uses (resume, commit-cadence
+// checkpoints, the final record). The config must survive the wire
+// codec verbatim — RunPoint proves it by fingerprint round-trip before
+// publishing the job.
 func (c *Coordinator) RunPoint(ctx context.Context, cfg experiment.Config) (*experiment.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -619,49 +618,23 @@ func (c *Coordinator) RunPoint(ctx context.Context, cfg experiment.Config) (*exp
 	if got := rt.Fingerprint(); got != fp {
 		return nil, fmt.Errorf("fabric: config is not wire-representable: fingerprint %s round-trips to %s", fp, got)
 	}
-	if c.store != nil {
-		if rec, ok := c.store.Lookup(fp); ok {
-			if rec.Done {
-				return experiment.Reconstruct(cfg, rec.Blocks, rec.Shots, rec.Errors, rec.EarlyStopped), nil
-			}
-			if c.rsm {
-				cfg.Resume = &experiment.Resume{Blocks: rec.Blocks, Shots: rec.Shots, Errors: rec.Errors}
-				if err := cfg.Validate(); err != nil {
-					return nil, fmt.Errorf("fabric: checkpoint does not match the configuration: %w", err)
-				}
-			}
-		}
-		userCommit := cfg.OnCommit
-		last := 0
-		if cfg.Resume != nil {
-			last = cfg.Resume.Blocks
-		}
-		cfg.OnCommit = func(p experiment.Progress) {
-			if userCommit != nil {
-				userCommit(p)
-			}
-			if p.Blocks-last < c.every {
-				return
-			}
-			last = p.Blocks
-			if err := c.store.Put(checkpoint.Record{Key: fp, Blocks: p.Blocks, Shots: p.Shots, Errors: p.Errors}); err != nil {
-				c.logf("checkpoint: %v", err)
-			}
-		}
-	}
+	return c.ledger.RunPoint(ctx, cfg, func(ctx context.Context, cfg experiment.Config) (*experiment.Result, error) {
+		return c.runJob(ctx, cfg, fp, wire)
+	})
+}
+
+// runJob publishes the frontier's shard plan as the job in flight and
+// waits until the frontier is done, every shard is merged or
+// quarantined, or ctx is cancelled.
+func (c *Coordinator) runJob(ctx context.Context, cfg experiment.Config, fp string, wire *WireConfig) (*experiment.Result, error) {
 	fr := experiment.NewFrontier(cfg)
 	var jb *job
 	if !fr.Done() {
-		shardShots := cfg.ShardShots
-		if shardShots <= 0 {
-			shardShots = 1024
-		}
-		shardBlocks := (shardShots + 63) / 64
 		jb = &job{fp: fp, wire: wire, fr: fr, seed: cfg.Seed, dec: cfg.Decoder.String(), done: make(chan struct{})}
-		for first := fr.Start(); first < fr.Total(); first += shardBlocks {
-			n := shardBlocks
-			if first+n > fr.Total() {
-				n = fr.Total() - first
+		for i := 0; ; i++ {
+			first, n := fr.Shard(cfg.ShardShots, i)
+			if n == 0 {
+				break
 			}
 			jb.shards = append(jb.shards, shardState{first: first, blocks: n})
 		}
@@ -693,18 +666,6 @@ func (c *Coordinator) RunPoint(ctx context.Context, cfg experiment.Config) (*exp
 		// safe without the lock.
 		res.ShardErrors = append(res.ShardErrors, jb.serrs...)
 		res.FallbackBlocks += jb.fbBlks
-	}
-	if c.store != nil {
-		rec := checkpoint.Record{Key: fp, Blocks: p.Blocks, Shots: p.Shots, Errors: p.Errors}
-		if fr.Done() {
-			// A quarantined point never reports Done: its record keeps the
-			// committed prefix so a later run (new epoch, fixed decoder)
-			// can resume past the repro line.
-			rec.Done, rec.EarlyStopped = true, fr.Finalized()
-		}
-		if err := c.store.Put(rec); err != nil {
-			c.logf("checkpoint: %v", err)
-		}
 	}
 	return res, nil
 }

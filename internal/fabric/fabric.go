@@ -1,12 +1,13 @@
 // Package fabric distributes one BER sweep across machines: a
-// coordinator derives the shard plan from an experiment.Config, hands
-// out lease-based shard ranges over HTTP, and merges worker-streamed
-// per-block logical-error counts through experiment.Frontier — the
-// exact commit/early-stopping core a single-machine run uses — into the
-// fingerprint-keyed checkpoint ledger. Workers wrap the production
-// engine via experiment.BlockRunner, stream results with CRC32-C
-// framing, heartbeat their leases, and resume cleanly after a
-// disconnect.
+// coordinator hands out the shard plan of an experiment.Frontier as
+// lease-based shard ranges over HTTP, and merges worker-streamed
+// per-block logical-error counts through that frontier — the exact
+// commit/early-stopping core a single-machine run uses — into the
+// fingerprint-keyed checkpoint ledger, through the same ledger policy
+// (checkpoint.Ledger) as a single-machine sweep. Workers count shards
+// on experiment.BlockRunner, the engine's own shard path, stream
+// results with CRC32-C framing, heartbeat their leases, and resume
+// cleanly after a disconnect.
 //
 // Bit-identity is the design invariant, not an aspiration: per-block
 // counts are deterministic functions of (circuit, base seed, block

@@ -494,6 +494,34 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 	}
 }
 
+// TestDoneRecordIsRecomputedWithoutResume: only Resume may answer a
+// point from the ledger. Without it, a point whose record says done —
+// here a bogus one — is recomputed on the workers like any other, and
+// the record is overwritten with the true counts.
+func TestDoneRecordIsRecomputedWithoutResume(t *testing.T) {
+	cfg := baseConfig(rotated3(t))
+	golden, err := experiment.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := cfg.Fingerprint()
+	if err := st.Put(checkpoint.Record{Key: fp, Blocks: 1, Shots: 64, Errors: 7, Done: true}); err != nil {
+		t.Fatal(err)
+	}
+	res := runFabric(t, cfg, 2, fabric.Options{Store: st}, nil)
+	if got, want := summarize(res), summarize(golden); got != want {
+		t.Errorf("point without Resume was answered from the ledger:\n got %s\nwant %s", got, want)
+	}
+	rec, ok := st.Lookup(fp)
+	if !ok || !rec.Done || rec.Blocks != golden.Blocks || rec.Shots != golden.Shots || rec.Errors != golden.LogicalErrors {
+		t.Errorf("ledger record = %+v, want done at blocks=%d shots=%d errs=%d", rec, golden.Blocks, golden.Shots, golden.LogicalErrors)
+	}
+}
+
 // TestWorkerRejectsDriftedJob: a coordinator advertising a fingerprint
 // that does not match the config it serves (two builds of the engine
 // disagreeing) must stop a worker before it decodes a single block.
