@@ -192,25 +192,57 @@ func TestKilledWorkerMidSweep(t *testing.T) {
 // TestTornStreamsMergeIdentically: a transport that truncates every
 // second completion body forces the coordinator down the torn-stream
 // rejection path and the worker down the resend path; the merged result
-// must not move.
+// must not move. The clean worker is held back until the first tear, so
+// it cannot finish every shard before the torn-transport worker has
+// sent its second completion.
 func TestTornStreamsMergeIdentically(t *testing.T) {
 	cfg := baseConfig(rotated3(t))
 	golden, err := experiment.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault := &chaos.Fabric{Plan: chaos.Plan{Seed: 7, Name: "torn-completions"}, TearEvery: 2}
+	fault := &tearSignal{Fabric: &chaos.Fabric{Plan: chaos.Plan{Seed: 7, Name: "torn-completions"}, TearEvery: 2}, torn: make(chan struct{})}
 	res := runFabric(t, cfg, 2, fabric.Options{}, func(i int) fabric.WorkerOptions {
 		if i == 0 {
 			return fabric.WorkerOptions{Client: &http.Client{Transport: fault}}
 		}
-		return fabric.WorkerOptions{}
+		return fabric.WorkerOptions{Client: &http.Client{Transport: gatedTransport{open: fault.torn}}}
 	})
 	if fault.Torn.Load() == 0 {
 		t.Error("fault plan tore no streams; the test is vacuous")
 	}
 	if got, want := summarize(res), summarize(golden); got != want {
 		t.Errorf("torn streams diverged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// tearSignal closes torn once its chaos transport has torn a completion.
+type tearSignal struct {
+	*chaos.Fabric
+	once sync.Once
+	torn chan struct{}
+}
+
+func (s *tearSignal) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := s.Fabric.RoundTrip(req)
+	if s.Torn.Load() > 0 {
+		s.once.Do(func() { close(s.torn) })
+	}
+	return resp, err
+}
+
+// gatedTransport holds every request until open is closed.
+type gatedTransport struct{ open <-chan struct{} }
+
+func (g gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	select {
+	case <-g.open:
+		return http.DefaultTransport.RoundTrip(req)
+	case <-req.Context().Done():
+		if req.Body != nil {
+			_ = req.Body.Close() // a RoundTripper closes the body even on error
+		}
+		return nil, req.Context().Err()
 	}
 }
 

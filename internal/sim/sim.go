@@ -2,8 +2,9 @@
 // propagates X/Z error frames through Clifford circuits with 64 shots
 // bit-packed per machine word, samples the paper's noise channels with
 // geometric skip-sampling, and reads out detector and observable flips.
-// A deterministic injection mode drives the detector-error-model
-// extraction in package dem.
+// A deterministic injection mode plants chosen faults in chosen lanes;
+// package dem's tests use it as the forward reference for the
+// detector-error-model extraction.
 package sim
 
 import (
