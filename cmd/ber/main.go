@@ -307,6 +307,9 @@ func parseArgs(args []string) (*cliConfig, error) {
 	if *joinFlag != "" && (*checkpointDir != "" || *resume) {
 		return nil, fmt.Errorf("-join is incompatible with -checkpoint/-resume: the coordinator owns the ledger")
 	}
+	if *joinFlag != "" && *decTimeout != 0 {
+		return nil, fmt.Errorf("-join is incompatible with -decode-timeout: workers decode without a deadline")
+	}
 	if *serveAddr != "" && (*decTimeout != 0 || *fallbackFlag != "") {
 		return nil, fmt.Errorf("-serve is incompatible with -decode-timeout/-fallback: scheduling knobs do not cross the fabric")
 	}

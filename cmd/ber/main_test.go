@@ -81,6 +81,7 @@ func TestParseArgsInvalid(t *testing.T) {
 		{"serve and join", []string{"-serve", ":9911", "-join", "http://h:9911"}, "mutually exclusive"},
 		{"join with checkpoint", []string{"-join", "http://h:9911", "-checkpoint", "/tmp/c"}, "coordinator owns the ledger"},
 		{"join with resume", []string{"-join", "http://h:9911", "-checkpoint", "/tmp/c", "-resume"}, "coordinator owns the ledger"},
+		{"join with decode-timeout", []string{"-join", "http://h:9911", "-decode-timeout", "5s"}, "workers decode without a deadline"},
 		{"serve with decode-timeout", []string{"-serve", ":9911", "-decode-timeout", "5s"}, "do not cross the fabric"},
 		{"serve with fallback", []string{"-serve", ":9911", "-fallback", "plain-mwpm"}, "do not cross the fabric"},
 		{"zero lease-ttl", []string{"-serve", ":9911", "-lease-ttl", "0s"}, "-lease-ttl must be positive"},

@@ -6,9 +6,11 @@
 // shard leases a coordinator hands out from that same plan. Any runner
 // holding the same Config re-derives the same per-block logical-error
 // counts, because block RNG streams depend only on (circuit, base seed,
-// block index). The counts feed a Frontier, the one commit/early-stop
-// core — so a distributed sweep's result is bit-identical to a local
-// one by construction, not by coincidence.
+// block index). The counts are settled on a Frontier, the one
+// commit/early-stop core, and a shard no rung can decode is reported as
+// the same ShardError the Frontier keeps — so a distributed sweep's
+// result is bit-identical to a local one by construction, not by
+// coincidence.
 package experiment
 
 import (
@@ -73,9 +75,10 @@ func (r *BlockRunner) Config() Config { return r.cfg }
 // CountBlocks samples and decodes blocks [first, first+n) with the
 // primary decoder and returns their logical-error counts, one entry per
 // block. Any panic below it — decoder, matching, sampler — is converted
-// into an error carrying the exact (seed, firstBlock) repro instead of
-// unwinding the worker. The context is observed between blocks; a
-// cancelled call returns ctx's error with no partial counts.
+// into a *ShardError carrying the exact (seed, firstBlock) repro
+// instead of unwinding the worker; its Shard is 0, since a bare block
+// range has no index in a shard plan. The context is observed between
+// blocks; a cancelled call returns ctx's error with no partial counts.
 func (r *BlockRunner) CountBlocks(ctx context.Context, first, n int) ([]int, error) {
 	counts, _, err := r.countRange(ctx, first, n, false)
 	return counts, err
@@ -89,7 +92,7 @@ func (r *BlockRunner) RescueBlocks(ctx context.Context, first, n int) ([]int, De
 
 // countRange climbs blocks [first, first+n) on the primary alone or
 // (rescue) the fallback rungs alone, and turns the outcome into counts
-// or an error with the range's repro.
+// or a *ShardError.
 func (r *BlockRunner) countRange(ctx context.Context, first, n int, rescue bool) ([]int, DecoderKind, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -106,14 +109,11 @@ func (r *BlockRunner) countRange(ctx context.Context, first, n int, rescue bool)
 	}
 	out := r.climb(lad, primary, first, n, halt)
 	switch {
-	case out.Verdict.Failed() && out.Fault == nil:
+	case out.Verdict == VerdictFailed && out.Fault == nil:
 		return nil, 0, fmt.Errorf("experiment: no fallback decoder of %v can be built", r.cfg.Fallback)
-	case out.Verdict.Failed():
-		return nil, out.Kind, fmt.Errorf("experiment: blocks %d..%d (decoder %s) panicked: %v; repro: seed=%d firstBlock=%d\n%s",
-			first, first+n-1, out.Kind, out.Fault.Value, r.cfg.Seed, first, out.Fault.Stack)
-	case out.Err != nil:
-		// An impossible shard shape is a caller bug, not a panic.
-		return nil, out.Kind, fmt.Errorf("experiment: CountBlocks(%d, %d): %w", first, n, out.Err)
+	case out.Err != nil || out.Verdict.Failed():
+		se := NewShardError(r.cfg, 0, first, n, out)
+		return nil, out.Kind, &se
 	case len(out.Val) < n:
 		return nil, out.Kind, ctx.Err()
 	}

@@ -73,10 +73,10 @@ func TestRecoveredDecodePanicCountsAsFailure(t *testing.T) {
 	c, _ := crashWorkload(t, 1e-3)
 	cfg := Config{Shots: 640, Seed: 3, Workers: 2, ShardShots: 64}
 	out := runEngine(context.Background(), newBlockRunner(cfg, c, recoveredErrDecoder{}, nil))
-	if out.shots != 640 || out.errs != 640 {
-		t.Fatalf("decode errors must count as logical errors: got %d/%d, want 640/640", out.errs, out.shots)
+	if out.Shots != 640 || out.LogicalErrors != 640 {
+		t.Fatalf("decode errors must count as logical errors: got %d/%d, want 640/640", out.LogicalErrors, out.Shots)
 	}
-	if len(out.shardErrs) != 0 || out.interrupted {
+	if len(out.ShardErrors) != 0 || out.Interrupted {
 		t.Fatalf("recovered decode errors must not quarantine shards: %+v", out)
 	}
 }
@@ -92,15 +92,15 @@ func TestShardPanicQuarantine(t *testing.T) {
 	bad := &panicOnCall{dec: dec, n: 320}
 	cfg := Config{Shots: 640, Seed: seed, Workers: 1, ShardShots: 64}
 	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, nil))
-	if len(out.shardErrs) != 1 {
-		t.Fatalf("want exactly one quarantined shard, got %d (%+v)", len(out.shardErrs), out.shardErrs)
+	if len(out.ShardErrors) != 1 {
+		t.Fatalf("want exactly one quarantined shard, got %d (%+v)", len(out.ShardErrors), out.ShardErrors)
 	}
-	se := out.shardErrs[0]
+	se := out.ShardErrors[0]
 	if se.FirstBlock != 5 || se.Blocks != 1 || se.Seed != seed {
 		t.Fatalf("shard error coordinates wrong: %+v", se)
 	}
-	if out.blocks != 5 || out.shots != 320 {
-		t.Fatalf("healthy prefix not committed: blocks=%d shots=%d, want 5/320", out.blocks, out.shots)
+	if out.Blocks != 5 || out.Shots != 320 {
+		t.Fatalf("healthy prefix not committed: blocks=%d shots=%d, want 5/320", out.Blocks, out.Shots)
 	}
 	msg := se.Error()
 	if !strings.Contains(msg, fmt.Sprintf("seed=%d firstBlock=5", seed)) {
@@ -114,8 +114,8 @@ func TestShardPanicQuarantine(t *testing.T) {
 	}
 	// The prefix must be bit-identical to a healthy run's first 5 blocks.
 	clean := runEngine(context.Background(), newBlockRunner(Config{Shots: 320, Seed: seed, Workers: 1, ShardShots: 64}, c, dec, nil))
-	if out.errs != clean.errs {
-		t.Fatalf("quarantined run's prefix differs from a clean 320-shot run: %d vs %d errors", out.errs, clean.errs)
+	if out.LogicalErrors != clean.LogicalErrors {
+		t.Fatalf("quarantined run's prefix differs from a clean 320-shot run: %d vs %d errors", out.LogicalErrors, clean.LogicalErrors)
 	}
 }
 
@@ -133,18 +133,18 @@ func TestFallbackChainRescuesShard(t *testing.T) {
 	}
 	cfg := Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64, Fallback: []DecoderKind{PlainMWPM}}
 	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, mk))
-	if len(out.shardErrs) != 0 {
-		t.Fatalf("fallback chain did not rescue the shard: %+v", out.shardErrs)
+	if len(out.ShardErrors) != 0 {
+		t.Fatalf("fallback chain did not rescue the shard: %+v", out.ShardErrors)
 	}
-	if out.shots != 640 {
-		t.Fatalf("rescued run incomplete: %d/640 shots", out.shots)
+	if out.Shots != 640 {
+		t.Fatalf("rescued run incomplete: %d/640 shots", out.Shots)
 	}
-	if out.fallbackBlocks != 1 {
-		t.Fatalf("FallbackBlocks = %d, want 1", out.fallbackBlocks)
+	if out.FallbackBlocks != 1 {
+		t.Fatalf("FallbackBlocks = %d, want 1", out.FallbackBlocks)
 	}
 	clean := runEngine(context.Background(), newBlockRunner(Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64}, c, dec, nil))
-	if out.errs != clean.errs {
-		t.Fatalf("identical fallback decoder changed the result: %d vs %d errors", out.errs, clean.errs)
+	if out.LogicalErrors != clean.LogicalErrors {
+		t.Fatalf("identical fallback decoder changed the result: %d vs %d errors", out.LogicalErrors, clean.LogicalErrors)
 	}
 }
 
@@ -157,11 +157,11 @@ func TestFallbackChainExhausted(t *testing.T) {
 	alsoBad := func(DecoderKind) (Decoder, error) { return &panicOnCall{dec: dec, n: 0}, nil }
 	cfg := Config{Shots: 256, Seed: 9, Workers: 1, ShardShots: 64, Fallback: []DecoderKind{PlainMWPM}}
 	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, alsoBad))
-	if len(out.shardErrs) != 1 {
-		t.Fatalf("want one quarantined shard after fallback exhaustion, got %+v", out.shardErrs)
+	if len(out.ShardErrors) != 1 {
+		t.Fatalf("want one quarantined shard after fallback exhaustion, got %+v", out.ShardErrors)
 	}
-	if out.blocks != 1 || out.shots != 64 {
-		t.Fatalf("prefix before the failed shard lost: blocks=%d shots=%d", out.blocks, out.shots)
+	if out.Blocks != 1 || out.Shots != 64 {
+		t.Fatalf("prefix before the failed shard lost: blocks=%d shots=%d", out.Blocks, out.Shots)
 	}
 }
 

@@ -4,13 +4,15 @@
 // blocks — and in-process workers claim shards from an atomic counter.
 // The engine runs on BlockRunner, the one shard path: each claimed
 // shard is simulated, decoded and counted by BlockRunner.climb, exactly
-// as a fabric worker counts a leased one. A shard is sampled in one
-// multi-word pass, but every block inside it consumes its own RNG
-// stream seeded seedmix.Derive(cfg.Seed, blockIndex), so the sampled
-// error stream of a block depends only on (circuit, base seed, block
-// index) and the run's outcome is bit-identical for any worker count
-// and any shard size. Peak memory is O(workers × shardShots ×
-// detectors) instead of O(shots × detectors).
+// as a fabric worker counts a leased one, and settled on the Frontier
+// (Settle or Fail), exactly as the fabric coordinator settles a
+// completion or a quarantine; the Frontier assembles the Result. A
+// shard is sampled in one multi-word pass, but every block inside it
+// consumes its own RNG stream seeded seedmix.Derive(cfg.Seed,
+// blockIndex), so the sampled error stream of a block depends only on
+// (circuit, base seed, block index) and the run's outcome is
+// bit-identical for any worker count and any shard size. Peak memory is
+// O(workers × shardShots × detectors) instead of O(shots × detectors).
 //
 // Early stopping is deterministic too: block results are committed
 // strictly in block order, and the stop criteria (target logical-error
@@ -25,10 +27,11 @@
 // per-shard recover converts decoder/matching/sampler panics into a
 // structured ShardError carrying an exact (seed, firstBlock) repro;
 // the failed shard is quarantined — optionally retried with a fallback
-// decoder chain — while the healthy prefix keeps committing. Resume:
-// because any committed prefix is block-aligned and every block's RNG
-// stream depends only on (circuit, seed, blockIndex), a run restarted
-// from Config.Resume is bit-identical to one that never stopped.
+// decoder chain first — and the run ends on the healthy prefix before
+// it. Resume: because any committed prefix is block-aligned and every
+// block's RNG stream depends only on (circuit, seed, blockIndex), a run
+// restarted from Config.Resume is bit-identical to one that never
+// stopped.
 //
 // A fourth guard, Config.DecodeTimeout, covers decoders that hang or
 // crawl instead of panicking: a shard attempt that outlives the
@@ -44,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -183,12 +185,8 @@ func (pl *Pipeline) RunContext(ctx context.Context, cfg Config) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	out := runEngine(ctx, newBlockRunner(cfg, c, dec, mk))
-	res := Reconstruct(cfg, out.blocks, out.shots, out.errs, out.early)
+	res := runEngine(ctx, newBlockRunner(cfg, c, dec, mk))
 	res.Net, res.LatencyNs = pl.Net, pl.Plan.LatencyNs
-	res.Interrupted, res.ShardErrors = out.interrupted, out.shardErrs
-	res.FallbackBlocks, res.TimeoutBlocks, res.DegradedBlocks = out.fallbackBlocks, out.timeoutBlocks, out.degradedBlocks
-	res.MemoHits, res.MemoMisses = out.memoHits, out.memoMisses
 	return res, nil
 }
 
@@ -410,28 +408,12 @@ func (d *PooledDecoder) Release() {
 	}
 }
 
-// engineOut is the raw outcome of runEngine: the committed prefix, the
-// stop/interrupt flags, and any quarantined shards.
-type engineOut struct {
-	blocks         int // committed 64-shot blocks (including a resumed prefix)
-	shots          int
-	errs           int
-	early          bool // a stop criterion fired
-	interrupted    bool // ctx cancelled before the run finished
-	fallbackBlocks int  // blocks rescued by the fallback chain after a panic
-	timeoutBlocks  int  // blocks whose primary attempt hit the decode deadline
-	degradedBlocks int  // blocks committed from a fallback after a timeout
-	shardErrs      []ShardError
-	memoHits       int64 // batch syndrome-memo hits across all pools
-	memoMisses     int64
-}
-
 // runEngine is the in-process scheduler over the frontier: workers
 // claim the shards of its plan in order, count each on r's one shard
-// path, and mark and commit the counts. The committed prefix is
-// returned even when the run is cancelled or a shard is quarantined;
-// it is always a valid Resume point.
-func runEngine(ctx context.Context, r *BlockRunner) engineOut {
+// path, and settle it on the frontier, which assembles the Result. The
+// committed prefix is returned even when the run is cancelled or a
+// shard fails; it is always a valid Resume point.
+func runEngine(ctx context.Context, r *BlockRunner) *Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -441,8 +423,7 @@ func runEngine(ctx context.Context, r *BlockRunner) engineOut {
 		// exactly at a stop boundary the writer did not evaluate;
 		// honoring it here keeps a resumed run bit-identical to an
 		// uninterrupted one.
-		p := fr.State()
-		return engineOut{blocks: p.Blocks, shots: p.Shots, errs: p.Errors, early: fr.Finalized()}
+		return fr.Result(false)
 	}
 	_, maxBlocks := fr.Shard(r.cfg.ShardShots, 0) // the plan's first shard is its largest
 	workers := r.cfg.Workers
@@ -452,19 +433,7 @@ func runEngine(ctx context.Context, r *BlockRunner) engineOut {
 	var (
 		nextShard atomic.Int64
 		stop      atomic.Bool
-
-		mu       sync.Mutex
-		fbBlocks int // rescued after a primary panic
-		toBlocks int // primary attempt hit the decode deadline
-		dgBlocks int // rescued by a fallback after a timeout
-		serrs    []ShardError
 	)
-	tryCommit := func() {
-		fr.Commit()
-		if fr.Finalized() {
-			stop.Store(true)
-		}
-	}
 	halt := stop.Load
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -495,59 +464,31 @@ func runEngine(ctx context.Context, r *BlockRunner) engineOut {
 					res = r.open(r.ladder.pools.primary, maxBlocks, halt)
 				}
 				out := r.climb(r.ladder, &res, first, n, halt)
-				failed := out.Err != nil || out.Verdict.Failed()
-				mu.Lock()
-				if out.Verdict.TimedOut() {
-					toBlocks += n
+				if out.Err != nil || out.Verdict.Failed() {
+					fr.Fail(NewShardError(r.cfg, sh, first, n, out))
+				} else {
+					// Settled by the worker, never an attempt goroutine, so an
+					// abandoned attempt cannot publish after a fallback's result.
+					fr.Settle(first, out.Val, out.Verdict)
 				}
-				switch {
-				case failed:
-					serrs = append(serrs, shardError(r.cfg, sh, first, n, out))
-				case out.Verdict == VerdictRescued:
-					fbBlocks += n
-				case out.Verdict == VerdictDegraded:
-					dgBlocks += n
+				if fr.Done() {
+					stop.Store(true)
 				}
-				mu.Unlock()
-				if failed {
-					fr.Quarantine(first)
-					continue
-				}
-				// Published by the worker, never an attempt goroutine, so an
-				// abandoned attempt cannot publish after a fallback's result.
-				for i, errs := range out.Val {
-					fr.Mark(first+i, errs)
-				}
-				tryCommit()
 			}
 		}()
 	}
 	wg.Wait()
-	tryCommit()
-	mu.Lock()
-	defer mu.Unlock()
-	sort.Slice(serrs, func(i, j int) bool { return serrs[i].FirstBlock < serrs[j].FirstBlock })
-	memoH, memoM := r.ladder.pools.memoStats()
-	p := fr.State()
-	finalized := fr.Finalized()
-	return engineOut{
-		blocks:         p.Blocks,
-		shots:          p.Shots,
-		errs:           p.Errors,
-		early:          finalized,
-		interrupted:    ctx.Err() != nil && !finalized && p.Blocks < fr.Total(),
-		fallbackBlocks: fbBlocks,
-		timeoutBlocks:  toBlocks,
-		degradedBlocks: dgBlocks,
-		shardErrs:      serrs,
-		memoHits:       memoH,
-		memoMisses:     memoM,
-	}
+	res := fr.Result(ctx.Err() != nil)
+	res.MemoHits, res.MemoMisses = r.ladder.pools.memoStats()
+	return res
 }
 
-// shardError reports a shard no rung could decode.
-func shardError(cfg Config, sh, first, n int, out Outcome[[]int]) ShardError {
-	se := ShardError{Seed: cfg.Seed, Shard: sh, FirstBlock: first, Blocks: n, Decoder: out.Kind.String()}
+// NewShardError reports a shard no rung could decode, from the outcome
+// of its climb: the shard's repro coordinates and the failure that
+// ended the climb — the returned error, the missed deadline, or the
+// first rung's panic.
+func NewShardError(cfg Config, shard, first, blocks int, out Outcome[[]int]) ShardError {
+	se := ShardError{Seed: cfg.Seed, Shard: shard, FirstBlock: first, Blocks: blocks, Decoder: out.Kind.String()}
 	switch {
 	case out.Err != nil:
 		se.PanicValue = out.Err
@@ -557,14 +498,6 @@ func shardError(cfg Config, sh, first, n int, out Outcome[[]int]) ShardError {
 		se.PanicValue, se.Stack = out.Fault.Value, out.Fault.Stack
 	}
 	return se
-}
-
-// stopSatisfied evaluates the early-stop criteria on the committed
-// prefix. The CI criterion requires at least one observed error so that
-// deep-BER points (whose whole purpose is resolving a tiny rate) run
-// their full shot budget instead of stopping on an empty estimate.
-func stopSatisfied(cfg Config, errs, shots int) bool {
-	return stopCriteria(cfg.TargetErrors, cfg.MaxCI, errs, shots)
 }
 
 // Sweep caches pipelines across the points of a figure: all (decoder,

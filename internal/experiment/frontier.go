@@ -1,9 +1,11 @@
-// Block-ordered commit frontier and the one shard plan. This is the
-// engine's determinism core: the local engine and the distributed sweep
-// fabric (internal/fabric) cut a run into the same shards and merge
-// their block results through the same commit and early-stopping logic
-// — bit-identity of a distributed sweep is then a property of shared
-// code, not of two implementations agreeing.
+// Block-ordered commit frontier, the one shard plan and the one place a
+// shard is settled. This is the engine's determinism core: the local
+// engine and the distributed sweep fabric (internal/fabric) cut a run
+// into the same shards, settle each one — counts marked and committed,
+// or a failure quarantined — through the same calls, and assemble the
+// point's Result in the same place. Bit-identity of a distributed sweep,
+// and of its rescue and quarantine accounting, is then a property of
+// shared code, not of two implementations agreeing.
 //
 // The contract: per-block logical-error counts are a pure function of
 // (circuit, base seed, block index); the frontier commits blocks in
@@ -15,6 +17,7 @@ package experiment
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -25,11 +28,10 @@ import (
 // idempotent no-op (block counts are deterministic, so a shard replayed
 // by a second worker always re-derives the same values). Commit
 // advances the committed prefix and freezes it permanently once a stop
-// criterion fires.
+// criterion fires. Settle and Fail are the two ways a shard leaves the
+// plan, and Result is the point's outcome.
 type Frontier struct {
-	shots  int     //fpnvet:unguarded immutable after NewFrontier (total shot budget, Config.Shots)
-	target int     //fpnvet:unguarded immutable after NewFrontier (Config.TargetErrors)
-	maxCI  float64 //fpnvet:unguarded immutable after NewFrontier (Config.MaxCI)
+	cfg Config //fpnvet:unguarded immutable after NewFrontier (Shots, TargetErrors, MaxCI, and the Result's Config)
 
 	start     int          //fpnvet:unguarded immutable after NewFrontier (resume prefix)
 	total     int          //fpnvet:unguarded immutable after NewFrontier (total 64-shot blocks)
@@ -42,6 +44,11 @@ type Frontier struct {
 	comShots  int  //fpnvet:guardedby mu
 	comErrs   int  //fpnvet:guardedby mu
 	finalized bool //fpnvet:guardedby mu (a stop criterion fired; commits are frozen)
+
+	fallbackBlocks int          //fpnvet:guardedby mu (Result.FallbackBlocks)
+	timeoutBlocks  int          //fpnvet:guardedby mu (Result.TimeoutBlocks)
+	degradedBlocks int          //fpnvet:guardedby mu (Result.DegradedBlocks)
+	shardErrs      []ShardError //fpnvet:guardedby mu (Result.ShardErrors, in failure order)
 }
 
 // NewFrontier builds the commit frontier for cfg, honoring cfg.Resume
@@ -52,10 +59,7 @@ type Frontier struct {
 // written exactly at a stop point resumes bit-identically.
 func NewFrontier(cfg Config) *Frontier {
 	total := blocksOf(cfg.Shots)
-	f := &Frontier{
-		shots: cfg.Shots, target: cfg.TargetErrors, maxCI: cfg.MaxCI,
-		total: total, onCommit: cfg.OnCommit,
-	}
+	f := &Frontier{cfg: cfg, total: total, onCommit: cfg.OnCommit}
 	if r := cfg.Resume; r != nil {
 		f.start, f.committed, f.comShots, f.comErrs = r.Blocks, r.Blocks, r.Shots, r.Errors
 	}
@@ -63,7 +67,7 @@ func NewFrontier(cfg Config) *Frontier {
 		f.blockErrs = make([]int32, total-f.start)
 	}
 	f.limit.Store(int64(total))
-	if f.committed < f.total && f.comShots < f.shots && stopCriteria(f.target, f.maxCI, f.comErrs, f.comShots) {
+	if f.committed < f.total && f.comShots < cfg.Shots && stopSatisfied(cfg, f.comErrs, f.comShots) {
 		f.finalized = true
 	}
 	return f
@@ -110,19 +114,57 @@ func (f *Frontier) Mark(block, errs int) {
 	atomic.StoreInt32(&f.blockErrs[block-f.start], int32(errs)+1)
 }
 
-// Quarantine forbids commits at or past block: the committed prefix
-// can never include a failed shard's blocks, or anything after them.
-func (f *Frontier) Quarantine(block int) {
+// Settle records a decoded shard: it marks counts from block first on,
+// commits, and books the shard's blocks by the verdict of the attempt
+// that decoded them (Result.FallbackBlocks, TimeoutBlocks,
+// DegradedBlocks). The caller that knows only that a fallback decoder
+// produced the counts passes VerdictRescued.
+func (f *Frontier) Settle(first int, counts []int, v Verdict) {
+	for i, errs := range counts {
+		f.Mark(first+i, errs)
+	}
+	f.mu.Lock()
+	f.bookLocked(v, len(counts))
+	f.mu.Unlock()
+	f.Commit()
+}
+
+// Fail quarantines the shard se describes: commits at or past its first
+// block are forbidden — the committed prefix can never include a failed
+// shard's blocks, or anything after them — and se is kept for the
+// Result. A timed-out shard's blocks are booked in TimeoutBlocks.
+func (f *Frontier) Fail(se ShardError) {
 	for {
 		q := f.limit.Load()
-		if int64(block) >= q || f.limit.CompareAndSwap(q, int64(block)) {
-			return
+		if int64(se.FirstBlock) >= q || f.limit.CompareAndSwap(q, int64(se.FirstBlock)) {
+			break
 		}
+	}
+	v := VerdictFailed
+	if se.Timeout {
+		v = VerdictDeadline
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.bookLocked(v, se.Blocks)
+	f.shardErrs = append(f.shardErrs, se)
+}
+
+// bookLocked counts n blocks settled under verdict v. Caller holds f.mu.
+func (f *Frontier) bookLocked(v Verdict, n int) {
+	if v.TimedOut() {
+		f.timeoutBlocks += n
+	}
+	switch v {
+	case VerdictRescued:
+		f.fallbackBlocks += n
+	case VerdictDegraded:
+		f.degradedBlocks += n
 	}
 }
 
-// Limit reports the current commit limit: the lowest quarantined block,
-// or Total when nothing is quarantined.
+// Limit reports the current commit limit: the lowest failed shard's
+// first block, or Total when no shard failed.
 func (f *Frontier) Limit() int { return int(f.limit.Load()) }
 
 // Commit advances the committed prefix over every contiguously marked
@@ -141,9 +183,9 @@ func (f *Frontier) Commit() bool {
 			break
 		}
 		f.comErrs += int(v - 1)
-		f.comShots += spanShots(f.shots, f.committed, 1)
+		f.comShots += spanShots(f.cfg.Shots, f.committed, 1)
 		f.committed++
-		if f.comShots < f.shots && stopCriteria(f.target, f.maxCI, f.comErrs, f.comShots) {
+		if f.comShots < f.cfg.Shots && stopSatisfied(f.cfg, f.comErrs, f.comShots) {
 			f.finalized = true
 		}
 	}
@@ -169,24 +211,44 @@ func (f *Frontier) Finalized() bool {
 	return f.finalized
 }
 
-// Done reports that the run is over: every block committed, or a stop
-// criterion finalized the prefix early.
+// Done reports that the run is over: the committed prefix reached the
+// commit limit — every block, or everything before a failed shard — or
+// a stop criterion finalized it early. Shards at or past Limit can
+// never commit, so nobody needs to decode them.
 func (f *Frontier) Done() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.finalized || f.committed >= f.total
+	return f.doneLocked()
 }
 
-// stopCriteria is the early-stop predicate shared by the frontier and
-// the package-level stopSatisfied helper. The CI criterion requires at
-// least one observed error so deep-BER points run their full budget.
-func stopCriteria(target int, maxCI float64, errs, shots int) bool {
-	if target > 0 && errs >= target {
+func (f *Frontier) doneLocked() bool { return f.finalized || f.committed >= f.Limit() }
+
+// Result assembles the point's outcome from the committed prefix, the
+// block accounting and the failed shards in block order. cancelled
+// reports that the caller's context was cancelled; the Result is then
+// Interrupted unless the run is Done anyway.
+func (f *Frontier) Result(cancelled bool) *Result {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	res := Reconstruct(f.cfg, f.committed, f.comShots, f.comErrs, f.finalized)
+	res.Interrupted = cancelled && !f.doneLocked()
+	res.FallbackBlocks, res.TimeoutBlocks, res.DegradedBlocks = f.fallbackBlocks, f.timeoutBlocks, f.degradedBlocks
+	res.ShardErrors = append([]ShardError(nil), f.shardErrs...)
+	sort.Slice(res.ShardErrors, func(i, j int) bool { return res.ShardErrors[i].FirstBlock < res.ShardErrors[j].FirstBlock })
+	return res
+}
+
+// stopSatisfied evaluates the early-stop criteria on the committed
+// prefix. The CI criterion requires at least one observed error so that
+// deep-BER points (whose whole purpose is resolving a tiny rate) run
+// their full shot budget instead of stopping on an empty estimate.
+func stopSatisfied(cfg Config, errs, shots int) bool {
+	if cfg.TargetErrors > 0 && errs >= cfg.TargetErrors {
 		return true
 	}
-	if maxCI > 0 && errs > 0 {
+	if cfg.MaxCI > 0 && errs > 0 {
 		lo, hi := wilson(errs, shots)
-		if (hi-lo)/2 <= maxCI {
+		if (hi-lo)/2 <= cfg.MaxCI {
 			return true
 		}
 	}

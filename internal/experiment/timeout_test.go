@@ -65,20 +65,20 @@ func TestHungDecoderRescuedByFallbackWithinDeadline(t *testing.T) {
 	begin := time.Now()
 	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, mk))
 	elapsed := time.Since(begin)
-	if len(out.shardErrs) != 0 {
-		t.Fatalf("deadline + fallback did not rescue the hung shard: %+v", out.shardErrs)
+	if len(out.ShardErrors) != 0 {
+		t.Fatalf("deadline + fallback did not rescue the hung shard: %+v", out.ShardErrors)
 	}
-	if out.shots != 640 {
-		t.Fatalf("rescued run incomplete: %d/640 shots", out.shots)
+	if out.Shots != 640 {
+		t.Fatalf("rescued run incomplete: %d/640 shots", out.Shots)
 	}
-	if out.timeoutBlocks != 1 {
-		t.Fatalf("timeoutBlocks = %d, want 1", out.timeoutBlocks)
+	if out.TimeoutBlocks != 1 {
+		t.Fatalf("timeoutBlocks = %d, want 1", out.TimeoutBlocks)
 	}
-	if out.degradedBlocks != 1 {
-		t.Fatalf("degradedBlocks = %d, want 1", out.degradedBlocks)
+	if out.DegradedBlocks != 1 {
+		t.Fatalf("degradedBlocks = %d, want 1", out.DegradedBlocks)
 	}
-	if out.fallbackBlocks != 0 {
-		t.Fatalf("fallbackBlocks = %d, want 0: timeout rescues must be counted as degraded, not panic-rescued", out.fallbackBlocks)
+	if out.FallbackBlocks != 0 {
+		t.Fatalf("fallbackBlocks = %d, want 0: timeout rescues must be counted as degraded, not panic-rescued", out.FallbackBlocks)
 	}
 	// One deadline was burned on the hung attempt; everything else is
 	// fast. Allow generous slack for races and loaded CI machines.
@@ -86,8 +86,8 @@ func TestHungDecoderRescuedByFallbackWithinDeadline(t *testing.T) {
 		t.Fatalf("run took %v, exceeding the deadline budget %v", elapsed, budget)
 	}
 	clean := runEngine(context.Background(), newBlockRunner(Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64}, c, dec, nil))
-	if out.errs != clean.errs {
-		t.Fatalf("degraded run diverged from clean run: %d vs %d errors", out.errs, clean.errs)
+	if out.LogicalErrors != clean.LogicalErrors {
+		t.Fatalf("degraded run diverged from clean run: %d vs %d errors", out.LogicalErrors, clean.LogicalErrors)
 	}
 }
 
@@ -98,13 +98,13 @@ func TestSlowDecoderUnderDeadlineBitIdentical(t *testing.T) {
 	slow := &slowOnCall{dec: dec, delay: 50 * time.Microsecond}
 	cfg := Config{Shots: 640, Seed: 7, Workers: 2, ShardShots: 64, DecodeTimeout: 30 * time.Second}
 	out := runEngine(context.Background(), newBlockRunner(cfg, c, slow, nil))
-	if out.timeoutBlocks != 0 || out.degradedBlocks != 0 || len(out.shardErrs) != 0 {
+	if out.TimeoutBlocks != 0 || out.DegradedBlocks != 0 || len(out.ShardErrors) != 0 {
 		t.Fatalf("slow decoder under deadline must not degrade: %+v", out)
 	}
 	clean := runEngine(context.Background(), newBlockRunner(Config{Shots: 640, Seed: 7, Workers: 2, ShardShots: 64}, c, dec, nil))
-	if out.shots != clean.shots || out.errs != clean.errs {
+	if out.Shots != clean.Shots || out.LogicalErrors != clean.LogicalErrors {
 		t.Fatalf("watchdog path changed the result: got %d/%d, want %d/%d",
-			out.errs, out.shots, clean.errs, clean.shots)
+			out.LogicalErrors, out.Shots, clean.LogicalErrors, clean.Shots)
 	}
 }
 
@@ -118,10 +118,10 @@ func TestHungDecoderWithoutFallbackQuarantines(t *testing.T) {
 	bad := &hangOnCall{dec: dec, n: 320, release: release}
 	cfg := Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64, DecodeTimeout: 250 * time.Millisecond}
 	out := runEngine(context.Background(), newBlockRunner(cfg, c, bad, nil))
-	if len(out.shardErrs) != 1 {
-		t.Fatalf("want one quarantined shard, got %+v", out.shardErrs)
+	if len(out.ShardErrors) != 1 {
+		t.Fatalf("want one quarantined shard, got %+v", out.ShardErrors)
 	}
-	se := out.shardErrs[0]
+	se := out.ShardErrors[0]
 	if !se.Timeout {
 		t.Fatalf("shard error not marked as a timeout: %+v", se)
 	}
@@ -134,11 +134,11 @@ func TestHungDecoderWithoutFallbackQuarantines(t *testing.T) {
 	if msg := se.Error(); !strings.Contains(msg, "timed out") || !strings.Contains(msg, "seed=7 firstBlock=5") {
 		t.Fatalf("timeout quarantine message lost its verb or repro: %q", msg)
 	}
-	if out.timeoutBlocks != 1 || out.degradedBlocks != 0 {
-		t.Fatalf("timeout accounting wrong: timeout=%d degraded=%d", out.timeoutBlocks, out.degradedBlocks)
+	if out.TimeoutBlocks != 1 || out.DegradedBlocks != 0 {
+		t.Fatalf("timeout accounting wrong: timeout=%d degraded=%d", out.TimeoutBlocks, out.DegradedBlocks)
 	}
-	if out.blocks != 5 || out.shots != 320 {
-		t.Fatalf("healthy prefix lost: blocks=%d shots=%d, want 5/320", out.blocks, out.shots)
+	if out.Blocks != 5 || out.Shots != 320 {
+		t.Fatalf("healthy prefix lost: blocks=%d shots=%d, want 5/320", out.Blocks, out.Shots)
 	}
 }
 

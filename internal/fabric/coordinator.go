@@ -1,11 +1,13 @@
 // The coordinator side of the fabric: leases out the frontier's shard
 // plan — the one the local engine's workers claim — and owns the lease
 // table and the commit frontier of one sweep point at a time, exposing
-// them over four HTTP endpoints. All result-affecting state flows
-// through experiment.Frontier and its deterministic shard plan;
-// the clock only ever decides when an unfinished shard may be handed to
-// another worker, and recomputing a shard is idempotent by determinism
-// — so any lease-expiry schedule yields the same merged result.
+// them over its HTTP endpoints. All result-affecting state flows
+// through experiment.Frontier: a completion is settled on it and a
+// quarantine fails the shard on it, exactly as the local engine settles
+// its shards, and it assembles the point's Result. The clock only ever
+// decides when an unfinished shard may be handed to another worker, and
+// recomputing a shard is idempotent by determinism — so any
+// lease-expiry schedule yields the same merged result.
 package fabric
 
 import (
@@ -51,19 +53,19 @@ type Options struct {
 	// with a different one are rejected — a partitioned predecessor can
 	// never commit into a successor's frontier.
 	Epoch int64
-	// PoisonAfter is the distinct-worker abandonment threshold at which
-	// a shard is suspected poisoned: it then gets exactly one
-	// fallback-flagged retry lease and is quarantined if that fails
-	// too, instead of crash-looping across the fleet forever. Twice the
-	// threshold in total abandonment events also trips it, so a
-	// single-worker fleet cannot livelock below the distinct count.
-	// 0 means 3.
-	PoisonAfter int
 	// Failovers records how many coordinator handoffs preceded this
 	// one; a promoted standby passes its takeover count, and the value
 	// is reported verbatim on /v1/status.
 	Failovers int64
 }
+
+// poisonAfter is the distinct-worker abandonment threshold at which a
+// shard is suspected poisoned: it then gets exactly one fallback-flagged
+// retry lease and is quarantined if that fails too, instead of
+// crash-looping across the fleet forever. Twice the threshold in total
+// abandonment events also trips it, so a single-worker fleet cannot
+// livelock below the distinct count.
+const poisonAfter = 3
 
 // defaultNow is the production clock.
 //
@@ -80,7 +82,6 @@ type Coordinator struct {
 	ledger    checkpoint.Ledger //fpnvet:unguarded immutable after NewCoordinator
 	log       io.Writer
 	epoch     int64 //fpnvet:unguarded immutable after NewCoordinator
-	poison    int   //fpnvet:unguarded immutable after NewCoordinator
 	failovers int64 //fpnvet:unguarded immutable after NewCoordinator
 
 	staleRejects atomic.Int64 // completions/heartbeats fenced off by epoch
@@ -98,13 +99,9 @@ type Coordinator struct {
 type job struct {
 	fp     string
 	wire   *WireConfig
+	cfg    experiment.Config
 	fr     *experiment.Frontier
 	shards []shardState
-	seed   int64  // base seed, for quarantine repro lines
-	dec    string // primary decoder name, for degradation accounting
-	quar   int    // shards quarantined in this job
-	serrs  []experiment.ShardError
-	fbBlks int // blocks rescued by a coordinator-flagged fallback retry
 	done   chan struct{}
 	closed bool
 }
@@ -147,13 +144,7 @@ func NewCoordinator(opt Options) *Coordinator {
 	if ttl <= 0 {
 		ttl = 30 * time.Second
 	}
-	poison := opt.PoisonAfter
-	if poison <= 0 {
-		poison = 3
-	}
-	c := &Coordinator{
-		now: now, ttl: ttl, log: opt.Log, poison: poison, failovers: opt.Failovers,
-	}
+	c := &Coordinator{now: now, ttl: ttl, log: opt.Log, failovers: opt.Failovers}
 	c.ledger = checkpoint.Ledger{
 		Store: opt.Store, Resume: opt.Resume, Every: opt.CheckpointEvery,
 		Report: func(err error) { c.logf("checkpoint: %v", err) },
@@ -248,21 +239,21 @@ func (c *Coordinator) jobPoll() jobMsg {
 	}
 }
 
-// handleLease grants the lowest-index shard that is not done and not
-// under a live lease. Expiry is evaluated lazily right here — never
-// from background timers — so tests drive any schedule via the
-// injected clock, and an expired-then-completed shard still merges
-// (completion is validated by content, not by lease liveness).
+// handleLease grants the lowest-index shard that is not done, not under
+// a live lease and before the frontier's commit limit. Expiry is
+// evaluated lazily right here — never from background timers — so
+// tests drive any schedule via the injected clock, and an
+// expired-then-completed shard still merges (completion is validated by
+// content, not by lease liveness).
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.grantLease(r.URL.Query().Get("worker"), r.URL.Query().Get("job")))
 }
 
 // grantLease does the lease-table walk under the lock and returns the
-// reply for the handler to write after release. The walk is also where
-// the poison ladder advances: an expired lease is recorded as an
-// abandonment, a shard past the abandonment threshold gets exactly one
-// fallback-flagged retry, and one that burned the retry too is
-// quarantined right here instead of being handed out again.
+// reply for the handler to write after release. An expired lease is a
+// walk-away like an explicit abandon; a shard past the abandonment
+// threshold gets exactly one fallback-flagged retry. Shards at or past
+// the commit limit are never leased: nothing there can commit.
 func (c *Coordinator) grantLease(worker, fp string) leaseMsg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -273,62 +264,51 @@ func (c *Coordinator) grantLease(worker, fp string) leaseMsg {
 	if jb == nil || jb.fp != fp {
 		return leaseMsg{Status: statusIdle}
 	}
-	if jb.fr.Done() {
-		c.completeLocked(jb)
+	if c.settledLocked(jb) {
 		return leaseMsg{Status: statusDone}
 	}
 	now := c.now()
 	for i := range jb.shards {
 		sh := &jb.shards[i]
-		if sh.done || sh.quarantined {
-			continue
-		}
-		if sh.lease != 0 && sh.expiry.After(now) {
+		if sh.done || sh.first >= jb.fr.Limit() || (sh.lease != 0 && sh.expiry.After(now)) {
 			continue
 		}
 		if sh.lease != 0 {
 			c.logf("lease %d on shard %d (worker %s) expired; reassigning to %s", sh.lease, i, sh.worker, worker)
 			c.reassigns.Add(1)
-			recordAbandon(sh, sh.worker, "lease expired")
-			sh.lease = 0
-		}
-		if c.poisoned(sh) {
-			if sh.fallbackTry {
-				c.quarantineLocked(jb, i, sh)
+			if c.walkAwayLocked(jb, i, sh.worker, "lease expired") {
 				continue
 			}
+		}
+		fallback := poisoned(sh)
+		if fallback {
 			sh.fallbackTry = true
 			c.fbRetries.Add(1)
-			c.leaseSeq++
-			sh.lease, sh.worker, sh.expiry = c.leaseSeq, worker, now.Add(c.ttl)
 			c.logf("shard %d abandoned %d times by %d workers; granting %s one fallback retry",
 				i, sh.events, len(sh.abandons), worker)
-			return leaseMsg{
-				Status: statusLease, Lease: sh.lease, Shard: i,
-				FirstBlock: sh.first, Blocks: sh.blocks,
-				Epoch: c.epoch, Fallback: true,
-			}
 		}
 		c.leaseSeq++
 		sh.lease, sh.worker, sh.expiry = c.leaseSeq, worker, now.Add(c.ttl)
 		return leaseMsg{
 			Status: statusLease, Lease: sh.lease, Shard: i,
-			FirstBlock: sh.first, Blocks: sh.blocks, Epoch: c.epoch,
+			FirstBlock: sh.first, Blocks: sh.blocks,
+			Epoch: c.epoch, Fallback: fallback,
 		}
 	}
-	if c.allSettledLocked(jb) {
-		// Every shard is merged or quarantined; the frontier can never
-		// finish naturally past a quarantine hole, so release RunPoint
-		// with the committed prefix.
-		c.completeLocked(jb)
+	if c.settledLocked(jb) {
 		return leaseMsg{Status: statusDone}
 	}
 	return leaseMsg{Status: statusWait}
 }
 
-// recordAbandon books one walk-away (lease expiry or explicit abandon)
-// against a shard. Caller holds c.mu.
-func recordAbandon(sh *shardState, worker, reason string) {
+// walkAwayLocked is the one step of the poison ladder, taken when the
+// worker holding shard i's lease walks away — its lease expired, or it
+// abandoned the shard. It releases the lease, records the strike and
+// quarantines the shard if and only if this was its fallback lease,
+// reporting whether it did. Caller holds c.mu.
+func (c *Coordinator) walkAwayLocked(jb *job, i int, worker, reason string) bool {
+	sh := &jb.shards[i]
+	sh.lease = 0
 	if sh.abandons == nil {
 		sh.abandons = make(map[string]bool)
 	}
@@ -339,53 +319,58 @@ func recordAbandon(sh *shardState, worker, reason string) {
 	if reason != "" {
 		sh.lastErr = reason
 	}
+	if !sh.fallbackTry {
+		return false
+	}
+	c.quarantineLocked(jb, i, sh)
+	return true
 }
 
 // poisoned reports whether a shard has crossed the abandonment
-// threshold: PoisonAfter distinct workers, or twice that in total
-// events so a single-worker fleet cannot livelock below the distinct
-// count. Caller holds c.mu.
-func (c *Coordinator) poisoned(sh *shardState) bool {
-	return len(sh.abandons) >= c.poison || sh.events >= 2*c.poison
+// threshold: poisonAfter distinct workers, or twice that in total
+// events. Caller holds c.mu.
+func poisoned(sh *shardState) bool {
+	return len(sh.abandons) >= poisonAfter || sh.events >= 2*poisonAfter
 }
 
-// quarantineLocked writes a shard off: the frontier limit is lowered so
-// the run finishes on the committed prefix, the failure is attached to
-// the job as a ShardError, and a repro line lands in the ledger so the
-// shard can be replayed offline (same fingerprint, same first block —
-// determinism makes the repro exact). Caller holds c.mu.
+// quarantineLocked writes a shard off: it fails the shard on the
+// frontier, which lowers the commit limit so the point ends on the
+// prefix before it and keeps the ShardError for the Result, and a repro
+// line lands in the ledger so the shard can be replayed offline (same
+// fingerprint, same first block — determinism makes the repro exact).
+// The point ends here if that prefix is already committed. Caller
+// holds c.mu.
 func (c *Coordinator) quarantineLocked(jb *job, i int, sh *shardState) {
-	sh.quarantined, sh.lease = true, 0
-	jb.quar++
+	sh.quarantined = true
 	c.quarantined.Add(1)
-	jb.fr.Quarantine(sh.first)
-	jb.serrs = append(jb.serrs, experiment.ShardError{
-		Seed: jb.seed, Shard: i, FirstBlock: sh.first, Blocks: sh.blocks,
-		Decoder: jb.dec, PanicValue: sh.lastErr,
-	})
+	out := experiment.Outcome[[]int]{
+		Verdict: experiment.VerdictFailed, Kind: jb.cfg.Decoder,
+		Fault: &experiment.Fault{Value: sh.lastErr},
+	}
+	jb.fr.Fail(experiment.NewShardError(jb.cfg, i, sh.first, sh.blocks, out))
 	c.logf("quarantining shard %d (blocks %d+%d) after %d abandonments by %d workers; last error: %s",
 		i, sh.first, sh.blocks, sh.events, len(sh.abandons), sh.lastErr)
 	if st := c.ledger.Store; st != nil {
 		key := "quarantine:" + jb.fp + ":" + strconv.Itoa(sh.first)
 		val := fmt.Sprintf("shard=%d first=%d blocks=%d seed=%d decoder=%s events=%d workers=%d err=%q",
-			i, sh.first, sh.blocks, jb.seed, jb.dec, sh.events, len(sh.abandons), sh.lastErr)
+			i, sh.first, sh.blocks, jb.cfg.Seed, jb.cfg.Decoder, sh.events, len(sh.abandons), sh.lastErr)
 		if err := st.SetMeta(key, val); err != nil {
 			c.logf("recording quarantine repro: %v", err)
 		}
 	}
+	c.settledLocked(jb)
 }
 
-// allSettledLocked reports whether every shard is merged or quarantined
-// — with at least one quarantine, the only way the point ends. Caller
-// holds c.mu.
-func (c *Coordinator) allSettledLocked(jb *job) bool {
-	if jb.quar == 0 {
+// settledLocked ends the point when the frontier is done — the
+// committed prefix reached the commit limit, or a stop criterion fired
+// — and reports whether it is. Caller holds c.mu.
+func (c *Coordinator) settledLocked(jb *job) bool {
+	if !jb.fr.Done() {
 		return false
 	}
-	for i := range jb.shards {
-		if sh := &jb.shards[i]; !sh.done && !sh.quarantined {
-			return false
-		}
+	if !jb.closed {
+		jb.closed = true
+		close(jb.done)
 	}
 	return true
 }
@@ -424,9 +409,9 @@ func (c *Coordinator) renewLease(fp string, lease int64, epoch string) ackMsg {
 
 // handleAbandon releases a lease the worker cannot finish (decode
 // failure, orderly shutdown mid-shard) so the shard recycles
-// immediately instead of waiting out the TTL, and books the abandonment
-// against the poison ladder. A fallback retry that is abandoned
-// quarantines the shard on the spot.
+// immediately instead of waiting out the TTL; it is the same walk-away
+// step as a lease expiry, so an abandoned fallback retry quarantines the
+// shard on the spot.
 func (c *Coordinator) handleAbandon(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	shardIdx, err := strconv.Atoi(q.Get("shard"))
@@ -459,16 +444,8 @@ func (c *Coordinator) abandonShard(fp string, shardIdx int, lease int64, worker,
 	if sh.done || sh.quarantined || sh.lease != lease {
 		return ackMsg{Status: statusExpired}
 	}
-	wasFallback := sh.fallbackTry
-	sh.lease = 0
-	recordAbandon(sh, worker, reason)
 	c.logf("worker %s abandoned shard %d: %s", worker, shardIdx, reason)
-	if wasFallback && c.poisoned(sh) {
-		c.quarantineLocked(jb, shardIdx, sh)
-		if c.allSettledLocked(jb) {
-			c.completeLocked(jb)
-		}
-	}
+	c.walkAwayLocked(jb, shardIdx, worker, reason)
 	return ackMsg{Status: statusOK, Epoch: c.epoch}
 }
 
@@ -570,28 +547,15 @@ func (c *Coordinator) mergeShard(fp string, shardIdx int, epoch, dec string, bod
 			shardIdx, fp, digest, sh.digest)
 		return ackMsg{Status: statusConflict, Epoch: c.epoch}, ""
 	}
-	for i, e := range counts {
-		jb.fr.Mark(sh.first+i, e)
-	}
 	sh.done, sh.digest, sh.lease = true, digest, 0
-	if dec != "" && dec != jb.dec {
-		jb.fbBlks += sh.blocks
+	v := experiment.VerdictOK
+	if dec != "" && dec != jb.cfg.Decoder.String() {
+		v = experiment.VerdictRescued
 		c.logf("shard %d rescued by fallback decoder %s", shardIdx, dec)
 	}
-	jb.fr.Commit()
-	if jb.fr.Done() || c.allSettledLocked(jb) {
-		c.completeLocked(jb)
-	}
+	jb.fr.Settle(sh.first, counts, v)
+	c.settledLocked(jb)
 	return ackMsg{Status: statusOK, Epoch: c.epoch}, ""
-}
-
-// completeLocked signals RunPoint that the frontier is done. Idempotent;
-// caller holds c.mu.
-func (c *Coordinator) completeLocked(jb *job) {
-	if !jb.closed {
-		jb.closed = true
-		close(jb.done)
-	}
 }
 
 // RunPoint runs one sweep point to completion on whatever workers join,
@@ -624,13 +588,12 @@ func (c *Coordinator) RunPoint(ctx context.Context, cfg experiment.Config) (*exp
 }
 
 // runJob publishes the frontier's shard plan as the job in flight and
-// waits until the frontier is done, every shard is merged or
-// quarantined, or ctx is cancelled.
+// waits until the frontier is done or ctx is cancelled; the frontier
+// assembles the Result.
 func (c *Coordinator) runJob(ctx context.Context, cfg experiment.Config, fp string, wire *WireConfig) (*experiment.Result, error) {
 	fr := experiment.NewFrontier(cfg)
-	var jb *job
 	if !fr.Done() {
-		jb = &job{fp: fp, wire: wire, fr: fr, seed: cfg.Seed, dec: cfg.Decoder.String(), done: make(chan struct{})}
+		jb := &job{fp: fp, wire: wire, cfg: cfg, fr: fr, done: make(chan struct{})}
 		for i := 0; ; i++ {
 			first, n := fr.Shard(cfg.ShardShots, i)
 			if n == 0 {
@@ -658,16 +621,7 @@ func (c *Coordinator) runJob(ctx context.Context, cfg experiment.Config, fp stri
 		c.job = nil
 		c.mu.Unlock()
 	}
-	p := fr.State()
-	res := experiment.Reconstruct(cfg, p.Blocks, p.Shots, p.Errors, fr.Finalized())
-	res.Interrupted = ctx.Err() != nil && !fr.Done()
-	if jb != nil {
-		// No handler can reach jb once c.job is nil, so these reads are
-		// safe without the lock.
-		res.ShardErrors = append(res.ShardErrors, jb.serrs...)
-		res.FallbackBlocks += jb.fbBlks
-	}
-	return res, nil
+	return fr.Result(ctx.Err() != nil), nil
 }
 
 // Shutdown tells polling workers the sweep is over: subsequent job

@@ -279,11 +279,12 @@ func TestCoordinatorFailoverIdentity(t *testing.T) {
 }
 
 // TestPoisonShardQuarantine drives the ladder by hand: a shard
-// abandoned by two distinct workers gets exactly one fallback-flagged
+// abandoned by three distinct workers gets exactly one fallback-flagged
 // retry, is quarantined with a repro line in the ledger when that is
 // abandoned too, and the point finishes on the committed prefix — no
-// crash-loop, no reassignment forever, and a late completion for the
-// quarantined shard can no longer commit.
+// crash-loop, no reassignment forever, no lease past the quarantine
+// hole, and a late completion for the quarantined shard can no longer
+// commit.
 func TestPoisonShardQuarantine(t *testing.T) {
 	cfg := baseConfig(rotated3(t))
 	pl, err := experiment.NewPipeline(cfg.Code, cfg.Arch)
@@ -298,7 +299,7 @@ func TestPoisonShardQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := fabric.NewCoordinator(fabric.Options{Now: newFakeClock().Now, Store: st, PoisonAfter: 2})
+	co := fabric.NewCoordinator(fabric.Options{Now: newFakeClock().Now, Store: st})
 	srv := httptest.NewServer(co.Handler())
 	defer srv.Close()
 	resCh := make(chan *experiment.Result, 1)
@@ -339,20 +340,23 @@ func TestPoisonShardQuarantine(t *testing.T) {
 		return counts
 	}
 
-	// Shards 0 and 1 complete cleanly; the committed prefix the point
-	// must finish on.
-	for want := 0; want < 2; want++ {
-		lm := lease("healthy")
-		if lm.Status != "lease" || lm.Shard != want {
-			t.Fatalf("setup lease = %+v, want shard %d", lm, want)
-		}
-		if ack := complete(lm.Shard, lm.Lease, rawCompletion(lm.FirstBlock, countsFor(lm))); ack.Status != "ok" {
-			t.Fatalf("setup completion = %+v", ack)
-		}
+	// Shards 0 and 1 are the committed prefix the point must finish on.
+	// Shard 0 completes now; shard 1 stays under a live lease (the fake
+	// clock never moves) so the point is still open when shard 2 goes.
+	first := lease("healthy")
+	if first.Status != "lease" || first.Shard != 0 {
+		t.Fatalf("setup lease = %+v, want shard 0", first)
 	}
-	// Two distinct workers walk away from shard 2: the ladder arms.
+	if ack := complete(first.Shard, first.Lease, rawCompletion(first.FirstBlock, countsFor(first))); ack.Status != "ok" {
+		t.Fatalf("setup completion = %+v", ack)
+	}
+	slow := lease("slow")
+	if slow.Status != "lease" || slow.Shard != 1 {
+		t.Fatalf("setup lease = %+v, want shard 1", slow)
+	}
+	// Three distinct workers walk away from shard 2: the ladder arms.
 	var poisoned rawLease
-	for _, w := range []string{"crasher-a", "crasher-b"} {
+	for _, w := range []string{"crasher-a", "crasher-b", "crasher-c"} {
 		lm := lease(w)
 		if lm.Status != "lease" || lm.Shard != 2 || lm.Fallback {
 			t.Fatalf("lease for %s = %+v, want a normal lease on shard 2", w, lm)
@@ -377,31 +381,22 @@ func TestPoisonShardQuarantine(t *testing.T) {
 	if st := co.Status(); st.Quarantined != 1 {
 		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
 	}
-	// Shard 2 is off the table: the next lease skips straight to 3, and
-	// a late (correct!) completion for it can no longer commit.
-	next := lease("healthy")
-	if next.Status != "lease" || next.Shard != 3 {
-		t.Fatalf("post-quarantine lease = %+v, want shard 3", next)
+	// Shard 2 is off the table and nothing past it can commit, so with
+	// shard 1 still leased there is nothing to hand out; a late
+	// (correct!) completion for shard 2 can no longer commit.
+	if next := lease("healthy"); next.Status != "wait" {
+		t.Fatalf("post-quarantine lease = %+v, want wait (no lease past the quarantine hole)", next)
 	}
 	if ack := complete(poisoned.Shard, poisoned.Lease, rawCompletion(poisoned.FirstBlock, countsFor(poisoned))); ack.Status != "idle" {
 		t.Errorf("late completion for a quarantined shard = %+v, want idle (not merged)", ack)
 	}
-	// Drain the rest; the point must settle on the prefix before the
+	// Shard 1 lands; the point must settle on the prefix before the
 	// quarantine hole.
-	if ack := complete(next.Shard, next.Lease, rawCompletion(next.FirstBlock, countsFor(next))); ack.Status != "ok" {
-		t.Fatalf("drain completion = %+v", ack)
+	if ack := complete(slow.Shard, slow.Lease, rawCompletion(slow.FirstBlock, countsFor(slow))); ack.Status != "ok" {
+		t.Fatalf("shard 1 completion = %+v", ack)
 	}
-	for {
-		lm := lease("healthy")
-		if lm.Status == "done" || lm.Status == "idle" {
-			break
-		}
-		if lm.Status != "lease" {
-			t.Fatalf("drain lease = %+v", lm)
-		}
-		if ack := complete(lm.Shard, lm.Lease, rawCompletion(lm.FirstBlock, countsFor(lm))); ack.Status != "ok" {
-			t.Fatalf("drain completion for shard %d = %+v", lm.Shard, ack)
-		}
+	if lm := lease("healthy"); lm.Status != "done" && lm.Status != "idle" {
+		t.Fatalf("lease after the prefix settled = %+v, want done or idle", lm)
 	}
 	res := <-resCh
 	if res.Blocks != 2 || res.Shots != 128 {
@@ -421,8 +416,8 @@ func TestPoisonShardQuarantine(t *testing.T) {
 		t.Errorf("ledger record = %+v (ok=%t), want a not-done 2-block prefix", rec, ok)
 	}
 	repro, ok := st.Meta("quarantine:" + jm.Fingerprint + ":2")
-	if !ok || !strings.Contains(repro, "first=2") || !strings.Contains(repro, "workers=3") || !strings.Contains(repro, "events=3") {
-		t.Errorf("quarantine repro line = %q (ok=%t), want 3 abandonments (both crashers and the rescuer) at first=2", repro, ok)
+	if !ok || !strings.Contains(repro, "first=2") || !strings.Contains(repro, "workers=4") || !strings.Contains(repro, "events=4") {
+		t.Errorf("quarantine repro line = %q (ok=%t), want 4 abandonments (every crasher and the rescuer) at first=2", repro, ok)
 	}
 }
 
@@ -512,6 +507,74 @@ func TestWorkerFallbackLease(t *testing.T) {
 	}
 	if want := rawCompletion(0, wantCounts); string(gotBody) != string(want) {
 		t.Errorf("fallback completion body diverged from a direct plain-mwpm decode:\n got %q\nwant %q", gotBody, want)
+	}
+}
+
+// TestWorkerAbandonsUndecodableShard pins the worker's failure path: a
+// leased shard its runner cannot count is handed back through
+// /v1/abandon with the failure as the reason, every time it is leased —
+// the coordinator's ladder is the only strike counter — and the worker
+// keeps polling instead of exiting.
+func TestWorkerAbandonsUndecodableShard(t *testing.T) {
+	cfg := baseConfig(rotated3(t))
+	fp := cfg.Fingerprint()
+	wire, err := fabric.MarshalConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const leases = 3
+	var mu sync.Mutex
+	var reasons []string
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/job", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		status := "job"
+		if len(reasons) >= leases {
+			status = "shutdown"
+		}
+		mu.Unlock()
+		fmt.Fprintf(w, `{"status":%q,"fingerprint":%q,"config":%s,"lease_ttl_ms":60000,"epoch":5}`,
+			status, fp, mustJSON(t, wire))
+	})
+	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		// The shard's blocks lie past the run's end, so no decoder can
+		// count them.
+		fmt.Fprintf(w, `{"status":"lease","lease":%d,"shard":7,"first_block":1000000,"blocks":1,"epoch":5}`, len(reasons)+1)
+	})
+	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"status":"ok"}`)
+	})
+	mux.HandleFunc("POST /v1/abandon", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		mu.Lock()
+		if q.Get("shard") != "7" || q.Get("lease") != fmt.Sprint(len(reasons)+1) || q.Get("worker") != "stuck" {
+			t.Errorf("abandon query = %v, want shard 7, lease %d, worker stuck", q, len(reasons)+1)
+		}
+		reasons = append(reasons, q.Get("reason"))
+		mu.Unlock()
+		fmt.Fprint(w, `{"status":"ok","epoch":5}`)
+	})
+	mux.HandleFunc("POST /v1/complete", func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("an undecodable shard was completed: %v", r.URL.Query())
+		fmt.Fprint(w, `{"status":"ok","epoch":5}`)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	if err := fabric.RunWorker(context.Background(), fabric.WorkerOptions{URL: srv.URL, ID: "stuck", Poll: time.Millisecond}); err != nil {
+		t.Fatalf("RunWorker: %v (a decode failure must not end the worker)", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reasons) != leases {
+		t.Fatalf("worker abandoned %d times, want once per lease (%d)", len(reasons), leases)
+	}
+	for i, reason := range reasons {
+		if !strings.Contains(reason, "outside the run's") {
+			t.Errorf("abandon %d reason = %q, want the decode failure", i, reason)
+		}
 	}
 }
 

@@ -101,7 +101,6 @@ type worker struct {
 	fp     string
 	runner *experiment.BlockRunner
 	ttl    time.Duration
-	fails  map[int]int // per-firstBlock decode failures; repeats are abandoned without re-decoding
 }
 
 // wait pauses for d or until ctx is cancelled, whichever comes first.
@@ -149,7 +148,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 	if patience <= 0 {
 		patience = 2 * time.Minute
 	}
-	w := &worker{opt: opt, client: opt.Client, poll: opt.Poll, urls: urls, fails: map[int]int{}}
+	w := &worker{opt: opt, client: opt.Client, poll: opt.Poll, urls: urls}
 	if w.client == nil {
 		// Every coordinator exchange is one small JSON round trip, so the
 		// retry-ladder bound is also a sane per-request bound. Without a
@@ -274,7 +273,6 @@ func (w *worker) prepare(jm jobMsg) error {
 		return err
 	}
 	w.fp, w.runner = jm.Fingerprint, br
-	w.fails = map[int]int{}
 	w.ttl = time.Duration(jm.LeaseTTLMs) * time.Millisecond
 	w.logf("joined point %s (%d blocks)", jm.Fingerprint, br.TotalBlocks())
 	return nil
@@ -284,15 +282,10 @@ func (w *worker) prepare(jm jobMsg) error {
 // heartbeating the lease while the decode runs. A decode failure is
 // reported immediately through /v1/abandon with the failure as the
 // repro reason, instead of killing the worker: the coordinator owns the
-// poison ladder (abandonment threshold, one fallback retry, quarantine)
-// so a deterministic panic can neither ping-pong a shard across the
-// fleet forever nor take the fleet down shard by shard.
+// one poison ladder (abandonment threshold, one fallback retry,
+// quarantine) so a deterministic panic can neither ping-pong a shard
+// across the fleet forever nor take the fleet down shard by shard.
 func (w *worker) work(ctx context.Context, lm leaseMsg) error {
-	if !lm.Fallback && w.fails[lm.FirstBlock] >= 2 {
-		// This worker has already proven the shard fails here; don't burn
-		// another decode, tell the coordinator right away.
-		return w.abandon(ctx, lm, "poisoned locally: decode failed twice on this worker")
-	}
 	hbCtx, stopHB := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -306,7 +299,10 @@ func (w *worker) work(ctx context.Context, lm leaseMsg) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		w.fails[lm.FirstBlock]++
+		var se *experiment.ShardError
+		if errors.As(err, &se) {
+			se.Shard = lm.Shard // the runner counted a bare block range
+		}
 		w.logf("shard %d (firstBlock %d) failed: %v", lm.Shard, lm.FirstBlock, err)
 		return w.abandon(ctx, lm, err.Error())
 	}
