@@ -60,6 +60,13 @@ func diffDecoders(t *testing.T, model *dem.Model, basis css.Basis, isColor bool)
 		}
 		out = append(out, diffDecoder{"mwpm-flagged", flagged,
 			func(bit func(int) bool) ([]bool, error) { return naiveMWPMDecode(flagged, bit) }})
+		norenorm, err := NewMWPM(model, basis, 1e-3, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norenorm.DisableRenorm = true
+		out = append(out, diffDecoder{"mwpm-flagged-norenorm", norenorm,
+			func(bit func(int) bool) ([]bool, error) { return naiveMWPMDecode(norenorm, bit) }})
 		plain, err := NewMWPM(model, basis, 1e-3, false)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package decoder
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/dem"
@@ -33,121 +32,28 @@ type MWPM struct {
 	// selection (an ablation knob; the paper always renormalizes).
 	DisableRenorm bool
 
-	classes []dem.Class
-	pM      float64
-	numObs  int
-	id      string // kind+config tag attached to decode errors
-
-	verts    []int       // vertex -> syndrome detector id
-	vertOf   map[int]int // detector -> vertex
-	boundary int         // boundary vertex index, or -1
-	edges    []graphEdge
-	adj      [][]int    // vertex -> edge ids
-	empty    *dem.Class // empty-syndrome equivalence class, if any
-	flagAll  []int      // every flag detector mentioned by any class
-
-	baseRep    []dem.ProjEvent // flagless representative per class
-	baseWeight []float64
-	flagIndex  map[int][]int // flag detector -> class ids with members on it
-
-	spt *sptCache // base-weight shortest-path trees, one per source
-}
-
-type graphEdge struct {
-	u, v  int // vertices (v may be the boundary vertex)
-	class int
+	classTable
+	matchGraph
+	id string // kind+config tag attached to decode errors
 }
 
 // NewMWPM builds the decoder for one syndrome basis of a model. pM is
 // the measurement misread probability used in Equation 9.
 func NewMWPM(model *dem.Model, basis css.Basis, pM float64, useFlags bool) (*MWPM, error) {
-	events := model.Project(basis)
-	events = decompose(events, 8)
-	classes := dem.BuildClasses(events)
+	classes := dem.BuildClasses(decompose(model.Project(basis), 8))
+	g, err := newPairGraph(classes)
+	if err != nil {
+		return nil, err
+	}
 	d := &MWPM{
-		Basis:    basis,
-		UseFlags: useFlags,
-		classes:  classes,
-		pM:       pM,
-		numObs:   len(model.Circuit.Observables),
-		vertOf:   map[int]int{},
-		boundary: -1,
+		Basis:      basis,
+		UseFlags:   useFlags,
+		classTable: newClassTable(classes, pM, len(model.Circuit.Observables)),
+		matchGraph: g,
+		id:         fmt.Sprintf("mwpm(basis=%c flags=%v pM=%g)", basis, useFlags, pM),
 	}
-	d.id = fmt.Sprintf("mwpm(basis=%c flags=%v pM=%g)", basis, useFlags, pM)
-	for _, cl := range classes {
-		for _, det := range cl.Dets {
-			if _, ok := d.vertOf[det]; !ok {
-				d.vertOf[det] = len(d.verts)
-				d.verts = append(d.verts, det)
-			}
-		}
-		if len(cl.Dets) == 1 {
-			d.boundary = -2 // mark needed
-		}
-	}
-	if d.boundary == -2 {
-		d.boundary = len(d.verts)
-	}
-	nv := len(d.verts)
-	if d.boundary >= 0 {
-		nv++
-	}
-	d.adj = make([][]int, nv)
-	for ci, cl := range classes {
-		var u, v int
-		switch len(cl.Dets) {
-		case 0:
-			d.empty = &classes[ci]
-			continue
-		case 1:
-			u, v = d.vertOf[cl.Dets[0]], d.boundary
-		case 2:
-			u, v = d.vertOf[cl.Dets[0]], d.vertOf[cl.Dets[1]]
-		default:
-			return nil, fmt.Errorf("decoder: class with %d dets survived decomposition", len(cl.Dets))
-		}
-		ei := len(d.edges)
-		d.edges = append(d.edges, graphEdge{u: u, v: v, class: ci})
-		d.adj[u] = append(d.adj[u], ei)
-		d.adj[v] = append(d.adj[v], ei)
-	}
-	d.flagAll = collectFlagList(classes)
-	// Flagless base representatives and weights.
-	d.baseRep = make([]dem.ProjEvent, len(classes))
-	d.baseWeight = make([]float64, len(classes))
-	d.flagIndex = map[int][]int{}
-	for ci := range classes {
-		rep, p := classes[ci].Representative(nil, pM)
-		d.baseRep[ci] = rep
-		d.baseWeight[ci] = weightOf(p)
-		seen := map[int]bool{}
-		for _, m := range classes[ci].Members {
-			for _, f := range m.Flags {
-				if !seen[f] {
-					seen[f] = true
-					d.flagIndex[f] = append(d.flagIndex[f], ci)
-				}
-			}
-		}
-	}
-	d.spt = newSPTCache(nv, func(s int) ([]float64, []int) {
-		dist := make([]float64, nv)
-		prev := make([]int, nv)
-		var pq floatHeap
-		dijkstraInto(s, d.baseWeight, d.edges, d.adj, dist, prev, &pq)
-		return dist, prev
-	})
+	d.cacheTrees(d.baseWeight)
 	return d, nil
-}
-
-func weightOf(p float64) float64 {
-	if p < 1e-15 {
-		p = 1e-15
-	}
-	if p > 0.5 {
-		p = 0.5
-	}
-	return -math.Log(p)
 }
 
 // NumClasses reports the equivalence-class count (for diagnostics).
@@ -181,11 +87,7 @@ func (d *MWPM) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool
 	if d.UseFlags {
 		// The unflagged baseline skips flag bookkeeping entirely: no flag
 		// reads, no flag-set bookkeeping, no per-class reweighting.
-		for _, f := range d.flagAll {
-			if detBit(f) {
-				sc.flags.Add(f)
-			}
-		}
+		d.readFlags(sc, detBit)
 	}
 	nFlags := sc.flags.Len()
 	if len(src) == 0 {
@@ -201,8 +103,7 @@ func (d *MWPM) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool
 	rep := d.baseRep
 	weight := d.baseWeight
 	if nFlags > 0 {
-		rep, weight = sc.ensureClassOverlay(len(d.classes))
-		copy(rep, d.baseRep)
+		rep, weight = d.flagOverlay(sc)
 		wM := weightOf(d.pM)
 		for ci := range d.classes {
 			// Default: flagless representative at diff |F|; Equation 9
@@ -215,11 +116,6 @@ func (d *MWPM) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool
 		}
 		// Classes with members touching an observed flag re-select their
 		// representative against the actual flag set.
-		for _, f := range sc.flags.Flags() {
-			for _, ci := range d.flagIndex[f] {
-				sc.adjusted.add(ci)
-			}
-		}
 		for _, ci := range sc.adjusted.keys() {
 			r, p := d.classes[ci].Representative(&sc.flags, d.pM)
 			rep[ci] = r
@@ -231,55 +127,17 @@ func (d *MWPM) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool
 			}
 		}
 	}
-	nv := len(d.adj)
 	if d.boundary < 0 && len(src)%2 != 0 {
 		return nil, fmt.Errorf("decoder: odd syndrome weight %d on a closed code", len(src))
 	}
-	// Shortest-path trees from each source: cached for the flagless
-	// steady state, per-shot Dijkstra into scratch under observed flags.
-	k := len(src)
-	dist, prevEdge := sc.ensureTreeTables(k)
-	if nFlags > 0 {
-		sc.dij.ensure(k, nv)
-		for i, s := range src {
-			di, pi := sc.dij.row(i)
-			dijkstraInto(s, weight, d.edges, d.adj, di, pi, &sc.dij.heap)
-			dist[i], prevEdge[i] = di, pi
-		}
-	} else {
-		for i, s := range src {
-			dist[i], prevEdge[i] = d.spt.tree(s)
-		}
-	}
-	// Matching instance: real nodes 0..k-1, virtual boundary nodes
-	// k..2k-1 when a boundary exists.
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			if w := dist[i][src[j]]; !math.IsInf(w, 1) {
-				sc.medges = append(sc.medges, matchEdge{i, j, w})
-			}
-		}
-	}
-	if d.boundary >= 0 {
-		for i := 0; i < k; i++ {
-			if w := dist[i][d.boundary]; !math.IsInf(w, 1) {
-				sc.medges = append(sc.medges, matchEdge{i, k + i, w})
-			}
-		}
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				sc.medges = append(sc.medges, matchEdge{k + i, k + j, 0})
-			}
-		}
-	}
-	total := k
-	if d.boundary >= 0 {
-		total = 2 * k
-	}
-	mate, err := minWeightPerfectWS(sc, total, sc.medges)
+	// Match the sources along their shortest-path trees; real node i
+	// matched to virtual node k+i is matched to the boundary.
+	dist, prev := d.sourceTrees(sc, src, weight, nFlags > 0)
+	mate, err := minWeightPerfectWS(sc, d.matchingInstance(sc, src, dist), sc.medges)
 	if err != nil {
 		return nil, err
 	}
+	k := len(src)
 	for i := 0; i < k; i++ {
 		j := mate[i]
 		if j < i && j < k {
@@ -293,105 +151,15 @@ func (d *MWPM) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool
 		} else {
 			return nil, fmt.Errorf("decoder: real node matched to foreign virtual node")
 		}
-		// Walk the shortest-path tree of source i from target back.
-		cur := target
-		for cur != src[i] {
-			ei := prevEdge[i][cur]
-			if ei < 0 {
-				return nil, fmt.Errorf("decoder: broken shortest-path tree")
-			}
-			e := d.edges[ei]
-			for _, o := range rep[e.class].Obs {
+		var ok bool
+		if sc.path, ok = d.pathClasses(sc.path, prev[i], src[i], target); !ok {
+			return nil, fmt.Errorf("decoder: broken shortest-path tree")
+		}
+		for _, ci := range sc.path {
+			for _, o := range rep[ci].Obs {
 				correction[o] = !correction[o]
-			}
-			if e.u == cur {
-				cur = e.v
-			} else {
-				cur = e.u
 			}
 		}
 	}
 	return correction, nil
-}
-
-// dijkstraInto computes shortest paths from s over a decoding graph
-// with per-class weights, writing into caller-provided rows (resized by
-// the caller to the vertex count). pq is reset and reused.
-func dijkstraInto(s int, weight []float64, edges []graphEdge, adj [][]int, dist []float64, prev []int, pq *floatHeap) {
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[s] = 0
-	*pq = (*pq)[:0]
-	pq.push(heapItem{0, s})
-	for len(*pq) > 0 {
-		it := pq.pop()
-		if it.d > dist[it.v] {
-			continue
-		}
-		for _, ei := range adj[it.v] {
-			e := edges[ei]
-			to := e.u
-			if to == it.v {
-				to = e.v
-			}
-			nd := it.d + weight[e.class]
-			if nd < dist[to] {
-				dist[to] = nd
-				prev[to] = ei
-				pq.push(heapItem{nd, to})
-			}
-		}
-	}
-}
-
-type heapItem struct {
-	d float64
-	v int
-}
-
-// floatHeap is a hand-rolled binary min-heap on (d, v) items. It mirrors
-// container/heap's sift-up/sift-down exactly (same comparisons, same
-// swap order) so pop order — and therefore every tie-broken shortest
-// path — is identical to the former heap.Push/heap.Pop code, without
-// the per-push interface boxing allocation.
-type floatHeap []heapItem
-
-func (h *floatHeap) push(it heapItem) {
-	*h = append(*h, it)
-	s := *h
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(s[j].d < s[i].d) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-}
-
-func (h *floatHeap) pop() heapItem {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && s[j2].d < s[j].d {
-			j = j2
-		}
-		if !(s[j].d < s[i].d) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	it := s[n]
-	*h = s[:n]
-	return it
 }

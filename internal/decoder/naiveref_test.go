@@ -243,7 +243,7 @@ func naiveRestrictionDecode(d *Restriction, detBit func(int) bool) ([]bool, erro
 			if c != pair[0] && c != pair[1] {
 				continue
 			}
-			vi, ok := d.latVertOf[li][det]
+			vi, ok := d.lat[li].vertOf[det]
 			if !ok {
 				return nil, fmt.Errorf("decoder: flipped detector %d not in lattice %d", det, li)
 			}
@@ -258,7 +258,7 @@ func naiveRestrictionDecode(d *Restriction, detBit func(int) bool) ([]bool, erro
 		dists := make([][]float64, len(src))
 		prevs := make([][]int, len(src))
 		for i, s := range src {
-			dists[i], prevs[i] = refDijkstra(d.latEdges[li], d.latAdj[li], s, weight, len(d.latAdj[li]))
+			dists[i], prevs[i] = refDijkstra(d.lat[li].edges, d.lat[li].adj, s, weight, len(d.lat[li].adj))
 		}
 		var medges []matchEdge
 		for i := 0; i < len(src); i++ {
@@ -283,7 +283,7 @@ func naiveRestrictionDecode(d *Restriction, detBit func(int) bool) ([]bool, erro
 				if ei < 0 {
 					return nil, fmt.Errorf("decoder: broken path in lattice %d", li)
 				}
-				e := d.latEdges[li][ei]
+				e := d.lat[li].edges[ei]
 				em[e.class]++
 				if e.u == cur {
 					cur = e.v

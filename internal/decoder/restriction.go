@@ -31,27 +31,13 @@ type Restriction struct {
 	// which "only handles flag edges in the MWPM stage".
 	FlagLifting bool
 
-	classes []dem.Class
-	pM      float64
-	numObs  int
-	id      string // kind+config tag attached to decode errors
+	classTable
+	id string // kind+config tag attached to decode errors
 
 	detColor map[int]int
 	detAll   []int // sorted syndrome detectors of this basis
 
-	// Per lattice: vertices, adjacency, edges referencing classes.
-	latVerts  [3][]int
-	latVertOf [3]map[int]int
-	latEdges  [3][]graphEdge
-	latAdj    [3][][]int
-
-	baseRep    []dem.ProjEvent
-	baseWeight []float64
-	flagIndex  map[int][]int
-	empty      *dem.Class // empty-syndrome equivalence class, if any
-	flagAll    []int      // every flag detector mentioned by any class
-
-	spt [3]*sptCache // base-weight trees per restricted lattice
+	lat [3]matchGraph // the restricted lattices, in latticePairs order
 }
 
 // NewRestriction builds the decoder for one basis of a color-code model.
@@ -60,19 +46,15 @@ func NewRestriction(model *dem.Model, basis css.Basis, pM float64, useFlags, fla
 	// Propagation errors flip many plaquettes at once; decompose them
 	// into existing atoms of at most three detectors (one per color) so
 	// every class is representable on the restricted lattices.
-	events = decomposeAtoms(events, 3, 12)
-	classes := dem.BuildClasses(events)
+	classes := dem.BuildClasses(decomposeAtoms(events, 3, 12))
 	d := &Restriction{
 		Basis:       basis,
 		UseFlags:    useFlags,
 		FlagLifting: flagLifting,
-		classes:     classes,
-		pM:          pM,
-		numObs:      len(model.Circuit.Observables),
+		classTable:  newClassTable(classes, pM, len(model.Circuit.Observables)),
+		id:          fmt.Sprintf("restriction(basis=%c flags=%v lifting=%v pM=%g)", basis, useFlags, flagLifting, pM),
 		detColor:    map[int]int{},
-		flagIndex:   map[int][]int{},
 	}
-	d.id = fmt.Sprintf("restriction(basis=%c flags=%v lifting=%v pM=%g)", basis, useFlags, flagLifting, pM)
 	for di, det := range model.Circuit.Detectors {
 		if !det.IsFlag && det.Basis == basis {
 			if det.Color < 0 || det.Color > 2 {
@@ -83,71 +65,33 @@ func NewRestriction(model *dem.Model, basis css.Basis, pM float64, useFlags, fla
 		}
 	}
 	sort.Ints(d.detAll)
-	for li := range latticePairs {
-		d.latVertOf[li] = map[int]int{}
+	for li := range d.lat {
+		d.lat[li] = newMatchGraph()
 	}
 	for ci, cl := range classes {
-		if len(cl.Dets) == 0 {
-			d.empty = &classes[ci]
-			continue
-		}
 		for li, pair := range latticePairs {
-			var proj []int
+			// A class is an edge of the lattice when exactly two of its
+			// detectors carry the lattice's colors.
+			var proj [2]int
+			n := 0
 			for _, det := range cl.Dets {
-				c := d.detColor[det]
-				if c == pair[0] || c == pair[1] {
-					proj = append(proj, det)
+				if c := d.detColor[det]; c == pair[0] || c == pair[1] {
+					if n < 2 {
+						proj[n] = det
+					}
+					n++
 				}
 			}
-			if len(proj) != 2 {
-				continue // not representable as an edge of this lattice
+			if n != 2 {
+				continue
 			}
-			var vs [2]int
-			for k, det := range proj {
-				vi, ok := d.latVertOf[li][det]
-				if !ok {
-					vi = len(d.latVerts[li])
-					d.latVertOf[li][det] = vi
-					d.latVerts[li] = append(d.latVerts[li], det)
-				}
-				vs[k] = vi
-			}
-			for len(d.latAdj[li]) < len(d.latVerts[li]) {
-				d.latAdj[li] = append(d.latAdj[li], nil)
-			}
-			ei := len(d.latEdges[li])
-			d.latEdges[li] = append(d.latEdges[li], graphEdge{u: vs[0], v: vs[1], class: ci})
-			d.latAdj[li][vs[0]] = append(d.latAdj[li][vs[0]], ei)
-			d.latAdj[li][vs[1]] = append(d.latAdj[li][vs[1]], ei)
+			g := &d.lat[li]
+			u := g.vertex(proj[0])
+			g.addEdge(u, g.vertex(proj[1]), ci)
 		}
 	}
-	d.flagAll = collectFlagList(classes)
-	d.baseRep = make([]dem.ProjEvent, len(classes))
-	d.baseWeight = make([]float64, len(classes))
-	for ci := range classes {
-		rep, p := classes[ci].Representative(nil, pM)
-		d.baseRep[ci] = rep
-		d.baseWeight[ci] = weightOf(p)
-		seen := map[int]bool{}
-		for _, m := range classes[ci].Members {
-			for _, f := range m.Flags {
-				if !seen[f] {
-					seen[f] = true
-					d.flagIndex[f] = append(d.flagIndex[f], ci)
-				}
-			}
-		}
-	}
-	for li := range latticePairs {
-		li := li
-		nv := len(d.latAdj[li])
-		d.spt[li] = newSPTCache(nv, func(s int) ([]float64, []int) {
-			dist := make([]float64, nv)
-			prev := make([]int, nv)
-			var pq floatHeap
-			dijkstraInto(s, d.baseWeight, d.latEdges[li], d.latAdj[li], dist, prev, &pq)
-			return dist, prev
-		})
+	for li := range d.lat {
+		d.lat[li].cacheTrees(d.baseWeight)
 	}
 	return d, nil
 }
@@ -179,11 +123,7 @@ func (d *Restriction) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr
 	}
 	flipped := rs.flipped
 	if d.UseFlags {
-		for _, f := range d.flagAll {
-			if detBit(f) {
-				sc.flags.Add(f)
-			}
-		}
+		d.readFlags(sc, detBit)
 	}
 	nFlags := sc.flags.Len()
 	if len(flipped) == 0 {
@@ -201,16 +141,10 @@ func (d *Restriction) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr
 		// the flag-similarity penalty (Equation 9's pM term); the
 		// π^{|σ|−1} exponent is specific to the pairwise matching graph
 		// and would double-count 3-detector data classes here.
-		rep, weight = sc.ensureClassOverlay(len(d.classes))
-		copy(rep, d.baseRep)
+		rep, weight = d.flagOverlay(sc)
 		wM := weightOf(d.pM)
 		for ci := range d.classes {
 			weight[ci] = d.baseWeight[ci] + float64(nFlags)*wM
-		}
-		for _, f := range sc.flags.Flags() {
-			for _, ci := range d.flagIndex[f] {
-				sc.adjusted.add(ci)
-			}
 		}
 		for _, ci := range sc.adjusted.keys() {
 			r, diff := d.classes[ci].Select(&sc.flags)
@@ -221,13 +155,14 @@ func (d *Restriction) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr
 	// Matching on the three restricted lattices; EM counts class picks.
 	em := rs.em
 	for li, pair := range latticePairs {
+		g := &d.lat[li]
 		rs.latSrc = rs.latSrc[:0]
 		for _, det := range flipped {
 			c := d.detColor[det]
 			if c != pair[0] && c != pair[1] {
 				continue
 			}
-			vi, ok := d.latVertOf[li][det]
+			vi, ok := g.vertOf[det]
 			if !ok {
 				return nil, fmt.Errorf("decoder: flipped detector %d not in lattice %d", det, li)
 			}
@@ -240,30 +175,8 @@ func (d *Restriction) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr
 		if len(src)%2 != 0 {
 			return nil, fmt.Errorf("decoder: odd syndrome weight %d in restricted lattice %d", len(src), li)
 		}
-		k := len(src)
-		dists, prevs := sc.ensureTreeTables(k)
-		if nFlags > 0 {
-			nv := len(d.latAdj[li])
-			sc.dij.ensure(k, nv)
-			for i, s := range src {
-				di, pi := sc.dij.row(i)
-				dijkstraInto(s, weight, d.latEdges[li], d.latAdj[li], di, pi, &sc.dij.heap)
-				dists[i], prevs[i] = di, pi
-			}
-		} else {
-			for i, s := range src {
-				dists[i], prevs[i] = d.spt[li].tree(s)
-			}
-		}
-		sc.medges = sc.medges[:0]
-		for i := 0; i < len(src); i++ {
-			for j := i + 1; j < len(src); j++ {
-				if w := dists[i][src[j]]; !math.IsInf(w, 1) {
-					sc.medges = append(sc.medges, matchEdge{i, j, w})
-				}
-			}
-		}
-		mate, err := minWeightPerfectWS(sc, len(src), sc.medges)
+		dist, prev := g.sourceTrees(sc, src, weight, nFlags > 0)
+		mate, err := minWeightPerfectWS(sc, g.matchingInstance(sc, src, dist), sc.medges)
 		if err != nil {
 			return nil, fmt.Errorf("decoder: lattice %d matching: %w", li, err)
 		}
@@ -272,19 +185,12 @@ func (d *Restriction) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr
 			if j < i {
 				continue
 			}
-			cur := src[j]
-			for cur != src[i] {
-				ei := prevs[i][cur]
-				if ei < 0 {
-					return nil, fmt.Errorf("decoder: broken path in lattice %d", li)
-				}
-				e := d.latEdges[li][ei]
-				em[e.class]++
-				if e.u == cur {
-					cur = e.v
-				} else {
-					cur = e.u
-				}
+			var ok bool
+			if sc.path, ok = g.pathClasses(sc.path, prev[i], src[i], src[j]); !ok {
+				return nil, fmt.Errorf("decoder: broken path in lattice %d", li)
+			}
+			for _, ci := range sc.path {
+				em[ci]++
 			}
 		}
 	}

@@ -11,8 +11,6 @@
 package decoder
 
 import (
-	"sync"
-
 	"github.com/fpn/flagproxy/internal/dem"
 	"github.com/fpn/flagproxy/internal/matching"
 )
@@ -45,6 +43,7 @@ type DecodeScratch struct {
 	dist [][]float64
 	prev [][]int
 
+	path   []int // classes along one matched tree path
 	medges []matchEdge
 	qedges []matching.Edge
 	match  matching.Workspace
@@ -180,7 +179,6 @@ type ufScratch struct {
 	grownEdges []int
 	toGrow     []int
 	treeAdj    [][]int
-	touched    []int // vertices whose treeAdj rows need clearing
 	visited    []bool
 	order      []int
 	parentEdge []int
@@ -243,41 +241,4 @@ func growInts(s []int, n int) []int {
 		return make([]int, n)
 	}
 	return s[:n]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// sptCache is a lazily built, read-only-after-build cache of shortest-
-// path trees over a fixed weighted decoding graph. Weights are p- and
-// model-fixed for an entire run, so the tree from each source is
-// computed at most once (under a per-source sync.Once) and then shared
-// by every worker without further synchronization.
-type sptCache struct {
-	once    []sync.Once
-	dist    [][]float64
-	prev    [][]int
-	compute func(s int) ([]float64, []int)
-}
-
-func newSPTCache(nv int, compute func(int) ([]float64, []int)) *sptCache {
-	return &sptCache{
-		once:    make([]sync.Once, nv),
-		dist:    make([][]float64, nv),
-		prev:    make([][]int, nv),
-		compute: compute,
-	}
-}
-
-// tree returns the cached shortest-path tree rooted at s, building it
-// on first use.
-func (c *sptCache) tree(s int) ([]float64, []int) {
-	c.once[s].Do(func() {
-		c.dist[s], c.prev[s] = c.compute(s)
-	})
-	return c.dist[s], c.prev[s]
 }

@@ -18,93 +18,25 @@ type UnionFind struct {
 	Basis    css.Basis
 	UseFlags bool
 
-	classes []dem.Class
-	pM      float64
-	numObs  int
-	id      string // kind+config tag attached to decode errors
-
-	verts    []int
-	vertOf   map[int]int
-	boundary int // boundary vertex index, or -1
-	edges    []graphEdge
-	adj      [][]int
-
-	baseRep   []dem.ProjEvent
-	flagIndex map[int][]int
-	empty     *dem.Class // empty-syndrome equivalence class, if any
-	flagAll   []int      // every flag detector mentioned by any class
+	classTable
+	matchGraph
+	id string // kind+config tag attached to decode errors
 }
 
 // NewUnionFind builds the decoder for one syndrome basis.
 func NewUnionFind(model *dem.Model, basis css.Basis, pM float64, useFlags bool) (*UnionFind, error) {
-	events := model.Project(basis)
-	events = decompose(events, 8)
-	classes := dem.BuildClasses(events)
-	d := &UnionFind{
-		Basis:    basis,
-		UseFlags: useFlags,
-		classes:  classes,
-		pM:       pM,
-		numObs:   len(model.Circuit.Observables),
-		vertOf:   map[int]int{},
-		boundary: -1,
+	classes := dem.BuildClasses(decompose(model.Project(basis), 8))
+	g, err := newPairGraph(classes)
+	if err != nil {
+		return nil, err
 	}
-	d.id = fmt.Sprintf("unionfind(basis=%c flags=%v pM=%g)", basis, useFlags, pM)
-	needBoundary := false
-	for _, cl := range classes {
-		for _, det := range cl.Dets {
-			if _, ok := d.vertOf[det]; !ok {
-				d.vertOf[det] = len(d.verts)
-				d.verts = append(d.verts, det)
-			}
-		}
-		if len(cl.Dets) == 1 {
-			needBoundary = true
-		}
-	}
-	if needBoundary {
-		d.boundary = len(d.verts)
-	}
-	nv := len(d.verts)
-	if d.boundary >= 0 {
-		nv++
-	}
-	d.adj = make([][]int, nv)
-	for ci, cl := range classes {
-		var u, v int
-		switch len(cl.Dets) {
-		case 0:
-			d.empty = &classes[ci]
-			continue
-		case 1:
-			u, v = d.vertOf[cl.Dets[0]], d.boundary
-		case 2:
-			u, v = d.vertOf[cl.Dets[0]], d.vertOf[cl.Dets[1]]
-		default:
-			return nil, fmt.Errorf("decoder: class with %d dets survived decomposition", len(cl.Dets))
-		}
-		ei := len(d.edges)
-		d.edges = append(d.edges, graphEdge{u: u, v: v, class: ci})
-		d.adj[u] = append(d.adj[u], ei)
-		d.adj[v] = append(d.adj[v], ei)
-	}
-	d.flagAll = collectFlagList(classes)
-	d.baseRep = make([]dem.ProjEvent, len(classes))
-	d.flagIndex = map[int][]int{}
-	for ci := range classes {
-		rep, _ := classes[ci].Representative(nil, pM)
-		d.baseRep[ci] = rep
-		seen := map[int]bool{}
-		for _, m := range classes[ci].Members {
-			for _, f := range m.Flags {
-				if !seen[f] {
-					seen[f] = true
-					d.flagIndex[f] = append(d.flagIndex[f], ci)
-				}
-			}
-		}
-	}
-	return d, nil
+	return &UnionFind{
+		Basis:      basis,
+		UseFlags:   useFlags,
+		classTable: newClassTable(classes, pM, len(model.Circuit.Observables)),
+		matchGraph: g,
+		id:         fmt.Sprintf("unionfind(basis=%c flags=%v pM=%g)", basis, useFlags, pM),
+	}, nil
 }
 
 // uf is a union-find forest over graph vertices with cluster metadata.
@@ -181,11 +113,7 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 	}
 	defects := us.defects
 	if d.UseFlags {
-		for _, f := range d.flagAll {
-			if detBit(f) {
-				sc.flags.Add(f)
-			}
-		}
+		d.readFlags(sc, detBit)
 	}
 	if len(defects) == 0 {
 		// Flag-only shots decode through the empty-syndrome class.
@@ -196,13 +124,7 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 	}
 	rep := d.baseRep
 	if sc.flags.Len() > 0 {
-		rep, _ = sc.ensureClassOverlay(len(d.classes))
-		copy(rep, d.baseRep)
-		for _, f := range sc.flags.Flags() {
-			for _, ci := range d.flagIndex[f] {
-				sc.adjusted.add(ci)
-			}
-		}
+		rep, _ = d.flagOverlay(sc)
 		for _, ci := range sc.adjusted.keys() {
 			r, _ := d.classes[ci].Representative(&sc.flags, d.pM)
 			rep[ci] = r

@@ -42,15 +42,17 @@ func crashWorkload(t testing.TB, p float64) (*circuit.Circuit, Decoder) {
 
 // panicOnCall wraps a decoder and panics on exactly one Decode call
 // (0-based index n), imitating a pathological syndrome that trips a
-// matching invariant on one specific shot.
+// matching invariant on one specific shot — or on every call when every
+// is set, imitating a primary decoder that is down.
 type panicOnCall struct {
 	dec   Decoder
 	n     int64
+	every bool
 	calls atomic.Int64
 }
 
 func (d *panicOnCall) Decode(bit func(int) bool) ([]bool, error) {
-	if d.calls.Add(1)-1 == d.n {
+	if d.calls.Add(1)-1 == d.n || d.every {
 		panic("injected: matching: stuck without maxCardinality")
 	}
 	return d.dec.Decode(bit)
@@ -145,6 +147,31 @@ func TestFallbackChainRescuesShard(t *testing.T) {
 	clean := runEngine(context.Background(), newBlockRunner(Config{Shots: 640, Seed: 7, Workers: 1, ShardShots: 64}, c, dec, nil))
 	if out.LogicalErrors != clean.LogicalErrors {
 		t.Fatalf("identical fallback decoder changed the result: %d vs %d errors", out.LogicalErrors, clean.LogicalErrors)
+	}
+}
+
+// A primary that panics on every shard leaves every block to the
+// fallback chain. FallbackBlocks counts committed blocks only, so shards
+// still in flight when TargetErrors stops the point are not booked and
+// the count is the same at every worker count.
+func TestFallbackBlocksIndependentOfWorkers(t *testing.T) {
+	c, dec := crashWorkload(t, 5e-3)
+	mk := func(DecoderKind) (Decoder, error) { return dec, nil }
+	var want *Result
+	for _, workers := range []int{1, 2, 4} {
+		cfg := Config{Shots: 64 * 64, Seed: 3, Workers: workers, ShardShots: 64,
+			TargetErrors: 20, Fallback: []DecoderKind{PlainMWPM}}
+		out := runEngine(context.Background(), newBlockRunner(cfg, c, &panicOnCall{dec: dec, every: true}, mk))
+		if !out.EarlyStopped || out.FallbackBlocks != out.Blocks {
+			t.Fatalf("workers=%d: early-stopped=%t, FallbackBlocks=%d for %d committed blocks; want every committed block and no other",
+				workers, out.EarlyStopped, out.FallbackBlocks, out.Blocks)
+		}
+		if want == nil {
+			want = out
+		} else if out.Blocks != want.Blocks || out.FallbackBlocks != want.FallbackBlocks {
+			t.Fatalf("workers=%d: blocks/FallbackBlocks = %d/%d, want %d/%d as at workers=1",
+				workers, out.Blocks, out.FallbackBlocks, want.Blocks, want.FallbackBlocks)
+		}
 	}
 }
 

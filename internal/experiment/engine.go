@@ -228,22 +228,12 @@ func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, fu
 	if err != nil {
 		return cfg, nil, nil, nil, err
 	}
-	dec, err := newDecoder(cfg.Decoder, model, cfg.Basis, nm.MeasFlip())
-	if err != nil {
-		return cfg, nil, nil, nil, err
-	}
-	// The batch lift happens before WrapDecoder so the chaos harness
-	// sees (and may fault-inject) the actual production decoder; a
-	// wrapper that hides the BatchDecoder interface simply routes its
-	// shards down the scalar loop.
-	if !cfg.ScalarDecode {
-		dec = batchify(cfg.Decoder, dec)
-	}
-	if cfg.WrapDecoder != nil {
-		dec = cfg.WrapDecoder(cfg.Decoder, dec)
-	}
-	// Fallback decoders share the circuit's error model; they are built
-	// lazily, only when a shard actually panics or times out.
+	// The primary and the fallback decoders share the circuit's error
+	// model; fallbacks are built lazily, only when a shard actually
+	// panics or times out. The batch lift happens before WrapDecoder so
+	// the chaos harness sees (and may fault-inject) the actual
+	// production decoder; a wrapper that hides the BatchDecoder
+	// interface simply routes its shards down the scalar loop.
 	mk := func(k DecoderKind) (Decoder, error) {
 		d, err := newDecoder(k, model, cfg.Basis, nm.MeasFlip())
 		if err != nil {
@@ -256,6 +246,10 @@ func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, fu
 			d = cfg.WrapDecoder(k, d)
 		}
 		return d, nil
+	}
+	dec, err := mk(cfg.Decoder)
+	if err != nil {
+		return cfg, nil, nil, nil, err
 	}
 	return cfg, c, dec, mk, nil
 }

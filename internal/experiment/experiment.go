@@ -160,14 +160,14 @@ type Result struct {
 	// finished; Shots/LogicalErrors hold the committed prefix, which is
 	// a valid Resume point.
 	Interrupted bool
-	// FallbackBlocks counts blocks whose shard panicked under the
-	// primary decoder and was rescued by the Fallback chain.
+	// FallbackBlocks counts committed blocks whose shard panicked under
+	// the primary decoder and was rescued by the Fallback chain.
 	FallbackBlocks int
 	// TimeoutBlocks counts blocks whose shard's primary decode attempt
-	// exceeded Config.DecodeTimeout, whether or not a fallback later
-	// rescued the shard. Nonzero TimeoutBlocks means wall-clock
-	// pressure changed the decoding schedule: investigate before
-	// trusting cross-run bit-identity.
+	// exceeded Config.DecodeTimeout: committed blocks a fallback
+	// rescued, and the blocks of timed-out shards quarantined. Nonzero
+	// TimeoutBlocks means wall-clock pressure changed the decoding
+	// schedule: investigate before trusting cross-run bit-identity.
 	TimeoutBlocks int
 	// DegradedBlocks counts blocks committed from a fallback decoder
 	// after the primary timed out — the graceful-degradation analogue

@@ -35,7 +35,7 @@ type Frontier struct {
 
 	start     int          //fpnvet:unguarded immutable after NewFrontier (resume prefix)
 	total     int          //fpnvet:unguarded immutable after NewFrontier (total 64-shot blocks)
-	blockErrs []int32      //fpnvet:unguarded atomic element access; the slice header is immutable after NewFrontier
+	blockErrs []int32      //fpnvet:unguarded atomic element access; the slice header is immutable after NewFrontier (see mark)
 	limit     atomic.Int64 // blocks at or past this index never commit (quarantine)
 	onCommit  func(Progress)
 
@@ -107,25 +107,34 @@ func spanShots(shots, first, n int) int {
 // Mark records block's decoded logical-error count. The block must lie
 // after the resumed prefix and before Total; marking outside that range
 // is a caller bug and panics with the offending coordinates.
-func (f *Frontier) Mark(block, errs int) {
+func (f *Frontier) Mark(block, errs int) { f.mark(block, errs, VerdictOK) }
+
+// verdictShift places a block's Verdict above its error count in one
+// blockErrs word: a 64-shot block has at most 64 logical errors, so
+// count+1 fits below bit 16.
+const verdictShift = 16
+
+// mark stores block's count and the verdict it was decoded under as one
+// word — 0 while the block is unmarked, else count+1 with the verdict
+// above verdictShift — so Commit reads both atomically.
+func (f *Frontier) mark(block, errs int, v Verdict) {
 	if block < f.start || block >= f.total {
 		panic(fmt.Sprintf("experiment: Frontier.Mark(%d) outside [%d, %d)", block, f.start, f.total))
 	}
-	atomic.StoreInt32(&f.blockErrs[block-f.start], int32(errs)+1)
+	atomic.StoreInt32(&f.blockErrs[block-f.start], int32(errs)+1|int32(v)<<verdictShift)
 }
 
-// Settle records a decoded shard: it marks counts from block first on,
-// commits, and books the shard's blocks by the verdict of the attempt
-// that decoded them (Result.FallbackBlocks, TimeoutBlocks,
-// DegradedBlocks). The caller that knows only that a fallback decoder
-// produced the counts passes VerdictRescued.
+// Settle records a decoded shard: it marks counts from block first on
+// under the verdict of the attempt that decoded them, and commits. Each
+// block is booked by that verdict (Result.FallbackBlocks, TimeoutBlocks,
+// DegradedBlocks) when it enters the committed prefix, so blocks decoded
+// past a stop point or a quarantine hole are never counted. The caller
+// that knows only that a fallback decoder produced the counts passes
+// VerdictRescued.
 func (f *Frontier) Settle(first int, counts []int, v Verdict) {
 	for i, errs := range counts {
-		f.Mark(first+i, errs)
+		f.mark(first+i, errs, v)
 	}
-	f.mu.Lock()
-	f.bookLocked(v, len(counts))
-	f.mu.Unlock()
 	f.Commit()
 }
 
@@ -182,7 +191,8 @@ func (f *Frontier) Commit() bool {
 		if v == 0 {
 			break
 		}
-		f.comErrs += int(v - 1)
+		f.comErrs += int(v&(1<<verdictShift-1)) - 1
+		f.bookLocked(Verdict(v>>verdictShift), 1)
 		f.comShots += spanShots(f.cfg.Shots, f.committed, 1)
 		f.committed++
 		if f.comShots < f.cfg.Shots && stopSatisfied(f.cfg, f.comErrs, f.comShots) {

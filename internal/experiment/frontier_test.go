@@ -51,3 +51,28 @@ func TestFrontierSettleAndFail(t *testing.T) {
 		t.Fatalf("timed-out shard = %+v, want Timeout wrapping ErrDecodeTimeout", se)
 	}
 }
+
+// A block is booked by its verdict when it enters the committed prefix:
+// rescued shards settled past a TargetErrors stop point or past a
+// quarantine hole never commit, so they are never counted.
+func TestFrontierBooksCommittedBlocksOnly(t *testing.T) {
+	cfg := Config{Shots: 8 * 64, Seed: 5, ShardShots: 64, TargetErrors: 3}
+	fr := NewFrontier(cfg)
+	fr.Settle(2, []int{0}, VerdictRescued) // in flight past the stop point
+	fr.Settle(0, []int{3}, VerdictRescued) // commits and stops the point
+	fr.Settle(1, []int{0}, VerdictDegraded)
+	if res := fr.Result(false); !res.EarlyStopped || res.Blocks != 1 || res.FallbackBlocks != 1 ||
+		res.DegradedBlocks != 0 || res.TimeoutBlocks != 0 {
+		t.Fatalf("after the stop: stopped=%t blocks=%d fallback/degraded/timeout=%d/%d/%d, want true 1 1/0/0",
+			res.EarlyStopped, res.Blocks, res.FallbackBlocks, res.DegradedBlocks, res.TimeoutBlocks)
+	}
+
+	cfg.TargetErrors = 0
+	fr = NewFrontier(cfg)
+	fr.Fail(NewShardError(cfg, 1, 1, 1, Outcome[[]int]{Verdict: VerdictFailed, Kind: FlaggedMWPM, Fault: &Fault{Value: "boom"}}))
+	fr.Settle(2, []int{0}, VerdictRescued) // past the hole
+	fr.Settle(0, []int{0}, VerdictRescued)
+	if res := fr.Result(false); res.Blocks != 1 || res.FallbackBlocks != 1 {
+		t.Fatalf("past the hole: blocks=%d FallbackBlocks=%d, want 1/1", res.Blocks, res.FallbackBlocks)
+	}
+}
