@@ -356,8 +356,12 @@ func BenchmarkAblationRenormalization(b *testing.B) {
 			}
 			dec.DisableRenorm = variant == 1
 			errs := 0
+			var lanes decoder.Defects
 			for shot := 0; shot < 1000; shot++ {
-				corr, err := dec.Decode(func(d int) bool { return res.DetectorBit(d, shot) })
+				if shot%64 == 0 {
+					lanes.Extract(res, shot, min(64, 1000-shot))
+				}
+				corr, err := dec.Decode(lanes.Lane(shot % 64))
 				if err != nil {
 					errs++
 					continue

@@ -38,6 +38,7 @@ import (
 	"github.com/fpn/flagproxy/internal/checkpoint"
 	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
+	"github.com/fpn/flagproxy/internal/decoder"
 	"github.com/fpn/flagproxy/internal/experiment"
 	"github.com/fpn/flagproxy/internal/fpn"
 	"github.com/fpn/flagproxy/internal/rtd"
@@ -395,14 +396,17 @@ func runClient(cfg *cliConfig, o *experiment.Online) int {
 func verifyOutcome(o *experiment.Online, res *sim.Result, out *rtd.StreamOutcome) int {
 	pd := o.Acquire()
 	defer pd.Release()
+	var lanes decoder.Defects
 	verified := 0
 	for i, r := range out.Results {
 		if !r.Committed() {
 			fmt.Fprintf(os.Stderr, "decoded: verify: window %d not committed (status %s)\n", i, r.Status)
 			return 1
 		}
-		shot := i
-		corr, err := pd.Decode(func(d int) bool { return res.DetectorBit(d, shot) })
+		if i%64 == 0 {
+			lanes.Extract(res, i, min(64, res.Shots-i))
+		}
+		corr, err := pd.Decode(lanes.Lane(i % 64))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "decoded: verify:", err)
 			return 1

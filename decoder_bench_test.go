@@ -52,12 +52,16 @@ func newDecoderFixture(b *testing.B) *decoderFixture {
 }
 
 func (f *decoderFixture) decodeAll(b *testing.B, dec interface {
-	Decode(func(int) bool) ([]bool, error)
+	Decode([]int32) ([]bool, error)
 }) float64 {
 	b.Helper()
 	errs := 0
+	var lanes decoder.Defects
 	for shot := 0; shot < f.shots; shot++ {
-		corr, err := dec.Decode(func(d int) bool { return f.res.DetectorBit(d, shot) })
+		if shot%64 == 0 {
+			lanes.Extract(f.res, shot, min(64, f.shots-shot))
+		}
+		corr, err := dec.Decode(lanes.Lane(shot % 64))
 		if err != nil {
 			errs++
 			continue
@@ -176,38 +180,39 @@ func planarFixture(b *testing.B) *decoderFixture {
 
 // benchDecodeShots measures the per-shot decode cost (and allocations)
 // of one decoder on pre-sampled realistic shots, cycling the shot set.
+// Each timed shot includes its share of the block's defect extraction,
+// as in the engine's scalar loop.
 func benchDecodeShots(b *testing.B, f *decoderFixture, dec interface {
-	Decode(func(int) bool) ([]bool, error)
+	Decode([]int32) ([]bool, error)
 }) {
 	b.Helper()
 	sc := decoder.NewScratch()
 	sd, scratched := dec.(decoder.ScratchDecoder)
+	var lanes decoder.Defects
+	decode := func(shot int) error {
+		if shot%64 == 0 {
+			lanes.Extract(f.res, shot, min(64, f.shots-shot))
+		}
+		var err error
+		if scratched {
+			_, err = sd.DecodeWith(sc, lanes.Lane(shot%64))
+		} else {
+			_, err = dec.Decode(lanes.Lane(shot % 64))
+		}
+		return err
+	}
 	// Warm the shortest-path-tree cache and size the scratch arenas so
 	// the timed region is the steady state.
 	for shot := 0; shot < f.shots; shot++ {
-		bit := func(d int) bool { return f.res.DetectorBit(d, shot) }
-		var err error
-		if scratched {
-			_, err = sd.DecodeWith(sc, bit)
-		} else {
-			_, err = dec.Decode(bit)
-		}
-		if err != nil {
+		if err := decode(shot); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	shot := 0
-	bit := func(d int) bool { return f.res.DetectorBit(d, shot) }
 	for i := 0; i < b.N; i++ {
-		var err error
-		if scratched {
-			_, err = sd.DecodeWith(sc, bit)
-		} else {
-			_, err = dec.Decode(bit)
-		}
-		if err != nil {
+		if err := decode(shot); err != nil {
 			b.Fatal(err)
 		}
 		shot++

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -9,9 +10,11 @@ import (
 
 // Decoder mirrors experiment.Decoder structurally, so the wrappers here
 // plug straight into experiment.Config.WrapDecoder without this package
-// importing the engine.
+// importing the engine. A shot is its defect list: fired detector and
+// flag ids, sorted and distinct. Ids outside the decoder's graph are
+// ignored; no wrapper modifies the list or retains it past the call.
 type Decoder interface {
-	Decode(func(int) bool) ([]bool, error)
+	Decode(defects []int32) ([]bool, error)
 }
 
 // SlowDecoder sleeps before every decode call: a decoder that crawls
@@ -23,9 +26,9 @@ type SlowDecoder struct {
 }
 
 // Decode sleeps Delay, then delegates.
-func (d *SlowDecoder) Decode(bit func(int) bool) ([]bool, error) {
+func (d *SlowDecoder) Decode(defects []int32) ([]bool, error) {
 	time.Sleep(d.Delay)
-	return d.Inner.Decode(bit)
+	return d.Inner.Decode(defects)
 }
 
 // HungDecoder blocks exactly one decode call (0-based index HangAt)
@@ -40,11 +43,11 @@ type HungDecoder struct {
 }
 
 // Decode blocks on call HangAt until Release is closed, then delegates.
-func (d *HungDecoder) Decode(bit func(int) bool) ([]bool, error) {
+func (d *HungDecoder) Decode(defects []int32) ([]bool, error) {
 	if d.calls.Add(1)-1 == d.HangAt {
 		<-d.Release
 	}
-	return d.Inner.Decode(bit)
+	return d.Inner.Decode(defects)
 }
 
 // Calls reports how many decode calls the wrapper has seen.
@@ -61,14 +64,14 @@ type PanicDecoder struct {
 }
 
 // Decode panics on call PanicAt, otherwise delegates.
-func (d *PanicDecoder) Decode(bit func(int) bool) ([]bool, error) {
+func (d *PanicDecoder) Decode(defects []int32) ([]bool, error) {
 	if d.calls.Add(1)-1 == d.PanicAt {
 		panic("chaos: injected decoder panic")
 	}
-	return d.Inner.Decode(bit)
+	return d.Inner.Decode(defects)
 }
 
-// CorruptingDecoder flips one plan-chosen detector bit on every Every-th
+// CorruptingDecoder flips one plan-chosen detector on every Every-th
 // decode call (calls 0, Every, 2*Every, …) before delegating, modeling
 // corruption between sampler and decoder. The flipped detector is
 // derived from (Plan, call index), so a run replays bit-identically
@@ -83,21 +86,22 @@ type CorruptingDecoder struct {
 	flips     atomic.Int64
 }
 
-// Decode corrupts the syndrome view on scheduled calls, then delegates.
-func (d *CorruptingDecoder) Decode(bit func(int) bool) ([]bool, error) {
+// Decode corrupts the syndrome on scheduled calls, then delegates. The
+// chosen detector is toggled in a private copy of the list: the
+// caller's list is also its memo key and must stay intact.
+func (d *CorruptingDecoder) Decode(defects []int32) ([]bool, error) {
 	n := d.calls.Add(1) - 1
 	if d.Every > 0 && d.Detectors > 0 && n%d.Every == 0 {
 		d.flips.Add(1)
-		flip := d.Plan.Pick("corrupt-detector", d.Detectors, uint64(n))
-		inner := bit
-		bit = func(i int) bool {
-			if i == flip {
-				return !inner(i)
-			}
-			return inner(i)
+		flip := int32(d.Plan.Pick("corrupt-detector", d.Detectors, uint64(n)))
+		i, fired := slices.BinarySearch(defects, flip)
+		if fired {
+			defects = slices.Delete(slices.Clone(defects), i, i+1)
+		} else {
+			defects = slices.Insert(slices.Clone(defects), i, flip)
 		}
 	}
-	return d.Inner.Decode(bit)
+	return d.Inner.Decode(defects)
 }
 
 // Flips reports how many decode calls were served a corrupted syndrome.

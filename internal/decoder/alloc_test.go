@@ -51,19 +51,20 @@ func planarModel(t *testing.T, rounds int, p float64) (*dem.Model, *circuit.Circ
 // returns the per-shot counts.
 func allocsPerDecode(t *testing.T, dec ScratchDecoder, res *sim.Result, shots int) []float64 {
 	t.Helper()
+	lists := make([][]int32, shots)
+	for s := range lists {
+		lists[s] = bitDefects(res, s)
+	}
 	sc := NewScratch()
-	for s := 0; s < shots; s++ {
-		s := s
-		if _, err := dec.DecodeWith(sc, func(d int) bool { return res.DetectorBit(d, s) }); err != nil {
+	for _, defects := range lists {
+		if _, err := dec.DecodeWith(sc, defects); err != nil {
 			t.Fatal(err)
 		}
 	}
 	out := make([]float64, shots)
-	for s := 0; s < shots; s++ {
-		s := s
-		bit := func(d int) bool { return res.DetectorBit(d, s) }
+	for s, defects := range lists {
 		out[s] = testing.AllocsPerRun(10, func() {
-			if _, err := dec.DecodeWith(sc, bit); err != nil {
+			if _, err := dec.DecodeWith(sc, defects); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -159,7 +160,7 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // allocsPerBatch warms the batch path (memo arena, scratch growth, the
-// lazily built lane closure) over all blocks, then measures steady-state
+// defect-list buffer) over all blocks, then measures steady-state
 // allocations per DecodeBatch call for each block individually.
 func allocsPerBatch(t *testing.T, b *Batch, res *sim.Result) []float64 {
 	t.Helper()
@@ -211,6 +212,17 @@ func TestBatchDecodeSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if m := maxAllocs(allocsPerBatch(t, NewBatch(plain), res)); m != 0 {
 		t.Errorf("batch plain MWPM (planar d=5): %v allocs/op in steady state, want 0", m)
+	}
+	// The extractor that feeds every decoder reuses its list buffer once
+	// it has served the largest block.
+	var lanes Defects
+	for first := 0; first < shots; first += 64 {
+		lanes.Extract(res, first, 64)
+	}
+	for first := 0; first < shots; first += 64 {
+		if a := testing.AllocsPerRun(10, func() { lanes.Extract(res, first, 64) }); a != 0 {
+			t.Errorf("Defects.Extract (planar d=5, block %d): %v allocs/op on a warmed buffer, want 0", first/64, a)
+		}
 	}
 
 	fcode := hyper55(t)

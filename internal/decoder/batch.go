@@ -4,15 +4,15 @@
 // overwhelmingly common case at useful physical rates — is decoded once
 // and fanned out to all 64 lanes. Second, each shot's syndrome is
 // extracted exactly once, as a compact sorted defect list, by streaming
-// over the packed detector words (O(detectors + defects) per block, not
-// O(64 × detectors)). Third, corrections are memoized by defect list in
-// a per-scratch bounded LRU: at p ≈ 1e-3 most non-empty syndromes
-// repeat a handful of low-weight patterns, so the expensive matching
-// runs only on first sight. The memo is deterministic, scratch-owned
-// and purely an execution-strategy cache — a batch decode is
-// bit-identical to 64 scalar DecodeWith calls by construction, because
-// the decode of a lane is a pure function of its full defect list and
-// cache lookups key on exactly that list.
+// over the packed detector words (Defects: O(detectors + defects) per
+// block, not O(64 × detectors)). Third, corrections are memoized by
+// defect list in a per-scratch bounded LRU: at p ≈ 1e-3 most non-empty
+// syndromes repeat a handful of low-weight patterns, so the expensive
+// matching runs only on first sight. The memo is deterministic,
+// scratch-owned and purely an execution-strategy cache — a batch decode
+// is bit-identical to 64 scalar DecodeWith calls by construction,
+// because a miss hands the decoder the lane's defect list itself, the
+// exact key its outcome is stored under.
 package decoder
 
 import (
@@ -68,21 +68,20 @@ func NewBatch(inner ScratchDecoder) *Batch { return &Batch{inner: inner} }
 // Inner returns the wrapped scalar decoder.
 func (b *Batch) Inner() ScratchDecoder { return b.inner }
 
-// Decode decodes a single shot through the wrapped decoder, allocating
-// a private scratch — the convenience path; hot loops use DecodeBatch
-// or DecodeWith.
-func (b *Batch) Decode(detBit func(int) bool) ([]bool, error) {
-	return b.inner.DecodeWith(NewScratch(), detBit)
+// Decode decodes a single shot's defect list through the wrapped
+// decoder, allocating a private scratch — the convenience path; hot
+// loops use DecodeBatch or DecodeWith.
+func (b *Batch) Decode(defects []int32) ([]bool, error) {
+	return b.inner.DecodeWith(NewScratch(), defects)
 }
 
 // DecodeWith forwards the scalar hot path to the wrapped decoder, so a
 // Batch drops into any ScratchDecoder seat unchanged.
-func (b *Batch) DecodeWith(sc *DecodeScratch, detBit func(int) bool) ([]bool, error) {
-	return b.inner.DecodeWith(sc, detBit)
+//
+//fpn:hotpath
+func (b *Batch) DecodeWith(sc *DecodeScratch, defects []int32) ([]bool, error) {
+	return b.inner.DecodeWith(sc, defects)
 }
-
-// zeroDetBit is the detector read of an all-zero lane.
-func zeroDetBit(int) bool { return false }
 
 // DecodeBatch decodes one sampling block. Lanes are processed in
 // ascending order and the memo is keyed on each lane's full defect
@@ -102,74 +101,33 @@ func (b *Batch) DecodeBatch(res *sim.Result, firstShot, n int, sc *DecodeScratch
 	if bs.owner != b || bs.numDet != len(res.Detectors) || bs.numObs != len(res.Observables) {
 		bs.init(b, len(res.Detectors), len(res.Observables))
 	}
-	wi := firstShot >> 6
-	laneMask := ^uint64(0)
-	if n < 64 {
-		laneMask = uint64(1)<<uint(n) - 1
-	}
+	wi, mask := firstShot>>6, laneMask(n)
 	clear(bs.pred)
 	var failW uint64
 
-	// One streaming pass over the packed detector words: per-lane defect
-	// counts, plus the all-zero test for free.
-	var orW uint64
-	total := int32(0)
-	clear(bs.counts[:])
-	for d := 0; d < bs.numDet; d++ {
-		w := res.DetectorWord(d, wi) & laneMask
-		orW |= w
-		for w != 0 {
-			bs.counts[bits.TrailingZeros64(w)]++
-			total++
-			w &= w - 1
-		}
-	}
-	if orW == 0 {
-		// All 64 lanes are syndrome-free: decode the empty lane once and
-		// fan its prediction out to the whole block.
+	if bs.lanes.Extract(res, firstShot, n) == 0 {
+		// All lanes are syndrome-free: decode the empty lane once and fan
+		// its prediction out to the whole block.
 		if !bs.emptyValid && !b.decodeEmpty(sc) {
 			// The empty-lane decode (or the MemoFault seam) panicked: the
 			// cache stays invalid and every lane of this block counts as a
 			// failed decode, exactly like a scalar decode error.
-			return bs.countErrs(res, wi, laneMask, laneMask), nil
+			return bs.countErrs(res, wi, mask, mask), nil
 		}
 		for o := 0; o < bs.numObs; o++ {
 			if bs.emptyPred[o>>6]>>(uint(o)&63)&1 == 1 {
-				bs.pred[o] = laneMask
+				bs.pred[o] = mask
 			}
 		}
 		if bs.emptyFail {
-			failW = laneMask
+			failW = mask
 		}
 		bs.hits += uint64(n)
-		return bs.countErrs(res, wi, laneMask, failW), nil
-	}
-
-	// Prefix-sum the counts into per-lane extents, then a second pass
-	// scatters each defect into its lane's slice. Detectors are visited
-	// in ascending id order, so every lane's list comes out sorted — the
-	// canonical memo key — without a sort.
-	bs.off[0] = 0
-	for l := 0; l < 64; l++ {
-		bs.off[l+1] = bs.off[l] + bs.counts[l]
-		bs.counts[l] = 0
-	}
-	if cap(bs.defects) < int(total) {
-		bs.defects = make([]int32, total)
-	}
-	bs.defects = bs.defects[:total]
-	for d := 0; d < bs.numDet; d++ {
-		w := res.DetectorWord(d, wi) & laneMask
-		for w != 0 {
-			l := bits.TrailingZeros64(w)
-			bs.defects[bs.off[l]+bs.counts[l]] = int32(d)
-			bs.counts[l]++
-			w &= w - 1
-		}
+		return bs.countErrs(res, wi, mask, failW), nil
 	}
 
 	for l := 0; l < n; l++ {
-		key := bs.defects[bs.off[l]:bs.off[l+1]]
+		key := bs.lanes.Lane(l)
 		if len(key) == 0 {
 			if !bs.emptyValid && !b.decodeEmpty(sc) {
 				failW |= 1 << uint(l)
@@ -199,17 +157,11 @@ func (b *Batch) DecodeBatch(res *sim.Result, firstShot, n int, sc *DecodeScratch
 				continue
 			}
 		}
-		// Miss: scalar-decode the lane against the sampled result. The
-		// decoder reads detector bits straight from the lane, and the
-		// lane's bits are exactly its defect-list membership, so the
-		// outcome is a pure function of the key we store it under.
+		// Miss: scalar-decode the lane's defect list — the very key the
+		// outcome is stored under, so the memo replays a pure function
+		// of its key.
 		bs.misses++
-		bs.res, bs.shot = res, firstShot+l
-		if bs.bit == nil {
-			lbs := bs // one closure per scratch, reading the mutable (res, shot) pair
-			bs.bit = func(d int) bool { return lbs.res.DetectorBit(d, lbs.shot) }
-		}
-		corr, err := b.inner.DecodeWith(sc, bs.bit)
+		corr, err := b.inner.DecodeWith(sc, key)
 		if !memoable {
 			for o, c := range corr {
 				if c {
@@ -225,7 +177,7 @@ func (b *Batch) DecodeBatch(res *sim.Result, firstShot, n int, sc *DecodeScratch
 			failW |= 1 << uint(l)
 		}
 	}
-	return bs.countErrs(res, wi, laneMask, failW), nil
+	return bs.countErrs(res, wi, mask, failW), nil
 }
 
 // storeLane memoizes one freshly decoded lane and applies the entry to
@@ -274,7 +226,7 @@ func (b *Batch) decodeEmpty(sc *DecodeScratch) (ok bool) {
 			ok = false
 		}
 	}()
-	corr, err := b.inner.DecodeWith(sc, zeroDetBit)
+	corr, err := b.inner.DecodeWith(sc, nil)
 	clear(bs.emptyPred)
 	for o, c := range corr {
 		if c {
@@ -311,17 +263,8 @@ type batchScratch struct {
 	numObs   int
 	obsWords int // packed words per observable-prediction row
 
-	// Scalar-fallback lane view: the closure is built once per scratch
-	// and reads the mutable (res, shot) pair, like the engine's
-	// shardRes.
-	res  *sim.Result
-	shot int
-	bit  func(int) bool
-
-	pred    []uint64  // per-observable predicted-flip lane bits, one word each
-	counts  [64]int32 // per-lane defect counts, then fill cursors
-	off     [65]int32 // per-lane extents into defects
-	defects []int32   // flattened per-lane sorted defect lists
+	pred  []uint64 // per-observable predicted-flip lane bits, one word each
+	lanes Defects  // the block's per-lane sorted defect lists
 
 	// Bounded LRU memo: a fixed entry arena (fixed-stride keys and
 	// packed predictions), an open-addressing index with backward-shift
@@ -392,12 +335,12 @@ func (bs *batchScratch) init(b *Batch, numDet, numObs int) {
 // sampled observable words into one error word — bit l set iff lane l
 // is a logical error — and pops its count. Decode-failure lanes (failW)
 // count as errors unconditionally, matching the scalar loop.
-func (bs *batchScratch) countErrs(res *sim.Result, wi int, laneMask, failW uint64) int {
+func (bs *batchScratch) countErrs(res *sim.Result, wi int, mask, failW uint64) int {
 	errW := failW
 	for o := 0; o < bs.numObs; o++ {
-		errW |= (res.ObservableWord(o, wi) & laneMask) ^ bs.pred[o]
+		errW |= (res.ObservableWord(o, wi) & mask) ^ bs.pred[o]
 	}
-	return bits.OnesCount64(errW & laneMask)
+	return bits.OnesCount64(errW & mask)
 }
 
 // lookup probes the index for an entry with this hash and key,

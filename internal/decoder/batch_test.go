@@ -17,13 +17,13 @@ import (
 )
 
 // scalarBlockErrs is the reference: the engine's historical per-shot
-// loop over one block, written against the same Result.
+// loop over one block, written against the same Result. It builds each
+// shot's list with DetectorBit, not with the batch path's extractor.
 func scalarBlockErrs(t *testing.T, dec ScratchDecoder, sc *DecodeScratch, res *sim.Result, firstShot, n int) int {
 	t.Helper()
 	errs := 0
 	for s := firstShot; s < firstShot+n; s++ {
-		s := s
-		corr, err := dec.DecodeWith(sc, func(d int) bool { return res.DetectorBit(d, s) })
+		corr, err := dec.DecodeWith(sc, bitDefects(res, s))
 		if err != nil {
 			errs++
 			continue
@@ -68,6 +68,7 @@ func TestBatchDifferentialDecode(t *testing.T) {
 	for _, cs := range diffCases(t) {
 		cs := cs
 		t.Run(cs.name, func(t *testing.T) {
+			t.Parallel()
 			for _, basis := range []css.Basis{css.Z, css.X} {
 				model, c := buildModel(t, cs.code, diffOptions, basis, diffRounds, 3e-3)
 				for _, dd := range diffDecoders(t, model, basis, cs.color) {

@@ -132,8 +132,8 @@ func transposeSupports(rows int, varDet [][]int) [][]int {
 // OSD-0 pass solves for the most reliable consistent error set. It
 // allocates a private scratch per call; hot loops should hold a
 // DecodeScratch and call DecodeWith.
-func (d *BPOSD) Decode(detBit func(int) bool) ([]bool, error) {
-	return d.DecodeWith(NewScratch(), detBit)
+func (d *BPOSD) Decode(defects []int32) ([]bool, error) {
+	return d.DecodeWith(NewScratch(), defects)
 }
 
 // DecodeWith is Decode drawing the BP message storage from sc. The
@@ -141,7 +141,7 @@ func (d *BPOSD) Decode(detBit func(int) bool) ([]bool, error) {
 // panics are recovered into returned errors.
 //
 //fpn:hotpath
-func (d *BPOSD) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool, err error) {
+func (d *BPOSD) DecodeWith(sc *DecodeScratch, defects []int32) (corr []bool, err error) {
 	defer annotateErr(d.id, &err)
 	defer Recover(&err)
 	sc.reset(d.numObs)
@@ -150,10 +150,11 @@ func (d *BPOSD) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []boo
 	bp := &sc.bp
 	bp.ensure(len(d.dets), nv, d.varOff[nv])
 	syndrome := bp.syndrome
+	clear(syndrome)
 	any := false
-	for r, det := range d.dets {
-		syndrome[r] = detBit(det)
-		if syndrome[r] {
+	for _, id := range defects {
+		if r, ok := d.rowOf[int(id)]; ok {
+			syndrome[r] = true
 			any = true
 		}
 	}

@@ -41,7 +41,7 @@ func TestBPOSDVersusMWPMOnShots(t *testing.T) {
 	count := func(dec obsDecoder) int {
 		errs := 0
 		for shot := 0; shot < 800; shot++ {
-			corr, err := dec.Decode(func(d int) bool { return res.DetectorBit(d, shot) })
+			corr, err := dec.Decode(bitDefects(res, shot))
 			if err != nil {
 				errs++
 				continue

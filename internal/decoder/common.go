@@ -3,7 +3,6 @@ package decoder
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/fpn/flagproxy/internal/dem"
 	"github.com/fpn/flagproxy/internal/matching"
@@ -18,7 +17,7 @@ import (
 // killing a multi-hour sweep. Custom Decoder implementations may defer
 // it the same way:
 //
-//	func (d *myDecoder) Decode(bit func(int) bool) (corr []bool, err error) {
+//	func (d *myDecoder) Decode(defects []int32) (corr []bool, err error) {
 //		defer decoder.Recover(&err)
 //		...
 //	}
@@ -68,37 +67,6 @@ func applyEmptyClass(empty *dem.Class, flags *dem.FlagSet, correction []bool) {
 			correction[o] = !correction[o]
 		}
 	}
-}
-
-// collectFlagList returns the sorted union of all member flag detectors
-// across classes (including the empty-syndrome class), which is the set
-// a decoder must read from the shot.
-func collectFlagList(classes []dem.Class) []int {
-	seen := map[int]bool{}
-	for ci := range classes {
-		for _, m := range classes[ci].Members {
-			for _, f := range m.Flags {
-				seen[f] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	//fpnvet:orderless collect-then-sort: the slice is sorted before returning
-	for f := range seen {
-		out = append(out, f)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// minWeightPerfect quantizes float weights and runs the exact blossom
-// minimum-weight perfect matching.
-func minWeightPerfect(n int, edges []matchEdge) ([]int, error) {
-	qedges := make([]matching.Edge, len(edges))
-	for i, e := range edges {
-		qedges[i] = quantizeEdge(e)
-	}
-	return matching.MinWeightPerfect(n, qedges)
 }
 
 // minWeightPerfectWS is minWeightPerfect drawing the quantized edge list

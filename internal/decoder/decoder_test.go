@@ -12,6 +12,7 @@ import (
 	"github.com/fpn/flagproxy/internal/group"
 	"github.com/fpn/flagproxy/internal/noise"
 	"github.com/fpn/flagproxy/internal/schedule"
+	"github.com/fpn/flagproxy/internal/sim"
 	"github.com/fpn/flagproxy/internal/surface"
 	"github.com/fpn/flagproxy/internal/tiling"
 )
@@ -66,16 +67,16 @@ func buildModel(t *testing.T, code *css.Code, opt fpn.Options, basis css.Basis, 
 	return model, c
 }
 
-// detBitFromEvent synthesizes the detector readout of a single fault.
-func detBitFromEvent(ev dem.Event) func(int) bool {
-	set := map[int]bool{}
-	for _, d := range ev.Dets {
-		set[d] = true
+// bitDefects builds shot s's defect list by probing every detector with
+// DetectorBit — a reference independent of the Defects extractor.
+func bitDefects(res *sim.Result, s int) []int32 {
+	var out []int32
+	for d := range res.Detectors {
+		if res.DetectorBit(d, s) {
+			out = append(out, int32(d))
+		}
 	}
-	for _, f := range ev.Flags {
-		set[f] = true
-	}
-	return func(d int) bool { return set[d] }
+	return out
 }
 
 // ambiguousFaults counts events sharing (dets, flags) with different
@@ -120,7 +121,7 @@ func sameInts(a, b []int) bool {
 }
 
 type obsDecoder interface {
-	Decode(func(int) bool) ([]bool, error)
+	Decode([]int32) ([]bool, error)
 }
 
 // exhaustiveSingleFault decodes every DEM event as a standalone shot and
@@ -141,7 +142,7 @@ func exhaustiveSingleFault(t *testing.T, model *dem.Model, d obsDecoder, basis c
 			continue
 		}
 		total++
-		corr, err := d.Decode(detBitFromEvent(ev))
+		corr, err := d.Decode(EventDefects(ev))
 		if err != nil {
 			t.Fatalf("decode error on event %+v: %v", ev, err)
 		}

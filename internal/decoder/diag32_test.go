@@ -40,7 +40,7 @@ func TestDiag32RestrictionFailures(t *testing.T) {
 		if len(zdets) == 0 && len(ev.Obs) == 0 {
 			continue
 		}
-		corr, err := dec.Decode(detBitFromEvent(ev))
+		corr, err := dec.Decode(EventDefects(ev))
 		if err != nil {
 			t.Fatal(err)
 		}

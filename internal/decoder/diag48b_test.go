@@ -64,7 +64,7 @@ func TestDiag48ProjectedAmbiguity(t *testing.T) {
 			continue
 		}
 		total++
-		corr, err := dec.Decode(detBitFromEvent(ev))
+		corr, err := dec.Decode(EventDefects(ev))
 		if err != nil {
 			t.Fatal(err)
 		}

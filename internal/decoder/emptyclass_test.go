@@ -79,7 +79,7 @@ func TestFlagOnlyLogicalErrorsDecoded(t *testing.T) {
 			continue
 		}
 		flagOnly++
-		corr, err := dec.Decode(detBitFromEvent(ev))
+		corr, err := dec.Decode(EventDefects(ev))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,23 +19,23 @@ import (
 // flaggedShots picks syndromes of the model that set at least one flag
 // detector: every single flagged fault plus pairwise combinations of the
 // first few, capped at limit shots.
-func flaggedShots(model *dem.Model, limit int) []func(int) bool {
+func flaggedShots(model *dem.Model, limit int) [][]int32 {
 	var flagged []dem.Event
 	for _, ev := range model.Events {
 		if len(ev.Flags) > 0 {
 			flagged = append(flagged, ev)
 		}
 	}
-	var shots []func(int) bool
+	var shots [][]int32
 	for _, ev := range flagged {
 		if len(shots) >= limit {
 			return shots
 		}
-		shots = append(shots, combinedDetBit(ev))
+		shots = append(shots, EventDefects(ev))
 	}
 	for i := 0; i < len(flagged) && len(shots) < limit; i++ {
 		for j := i + 1; j < len(flagged) && len(shots) < limit; j++ {
-			shots = append(shots, combinedDetBit(flagged[i], flagged[j]))
+			shots = append(shots, EventDefects(flagged[i], flagged[j]))
 		}
 	}
 	return shots
@@ -44,11 +44,11 @@ func flaggedShots(model *dem.Model, limit int) []func(int) bool {
 // assertRepeatedDecodesIdentical decodes each shot many times — reusing
 // one warm scratch and also through fresh scratches — and fails if any
 // correction byte ever differs from the first decode.
-func assertRepeatedDecodesIdentical(t *testing.T, name string, d ScratchDecoder, shots []func(int) bool) {
+func assertRepeatedDecodesIdentical(t *testing.T, name string, d ScratchDecoder, shots [][]int32) {
 	t.Helper()
 	warm := NewScratch()
-	for si, bit := range shots {
-		first, err := d.DecodeWith(NewScratch(), bit)
+	for si, defects := range shots {
+		first, err := d.DecodeWith(NewScratch(), defects)
 		if err != nil {
 			t.Fatalf("%s shot %d: %v", name, si, err)
 		}
@@ -58,7 +58,7 @@ func assertRepeatedDecodesIdentical(t *testing.T, name string, d ScratchDecoder,
 			if rep%2 == 1 {
 				sc = NewScratch()
 			}
-			got, err := d.DecodeWith(sc, bit)
+			got, err := d.DecodeWith(sc, defects)
 			if err != nil {
 				t.Fatalf("%s shot %d rep %d: %v", name, si, rep, err)
 			}

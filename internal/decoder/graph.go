@@ -10,6 +10,7 @@ package decoder
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"github.com/fpn/flagproxy/internal/dem"
@@ -26,7 +27,6 @@ type classTable struct {
 	baseRep    []dem.ProjEvent // flagless representative per class
 	baseWeight []float64       // −log π of each flagless representative
 	flagIndex  map[int][]int   // flag detector -> class ids with members on it
-	flagAll    []int           // every flag detector mentioned by any class
 	empty      *dem.Class      // empty-syndrome equivalence class, if any
 }
 
@@ -38,7 +38,6 @@ func newClassTable(classes []dem.Class, pM float64, numObs int) classTable {
 		baseRep:    make([]dem.ProjEvent, len(classes)),
 		baseWeight: make([]float64, len(classes)),
 		flagIndex:  map[int][]int{},
-		flagAll:    collectFlagList(classes),
 	}
 	for ci := range classes {
 		if len(classes[ci].Dets) == 0 {
@@ -70,11 +69,13 @@ func weightOf(p float64) float64 {
 	return -math.Log(p)
 }
 
-// readFlags adds every observed flag detector of the shot to sc.flags.
-func (t *classTable) readFlags(sc *DecodeScratch, detBit func(int) bool) {
-	for _, f := range t.flagAll {
-		if detBit(f) {
-			sc.flags.Add(f)
+// readFlags adds the shot's observed flags — the defects that some
+// class member mentions — to sc.flags, in list order, so the set stays
+// ascending.
+func (t *classTable) readFlags(sc *DecodeScratch, defects []int32) {
+	for _, id := range defects {
+		if _, ok := t.flagIndex[int(id)]; ok {
+			sc.flags.Add(int(id))
 		}
 	}
 }
@@ -99,7 +100,6 @@ func (t *classTable) flagOverlay(sc *DecodeScratch) ([]dem.ProjEvent, []float64)
 // the whole projected graph for MWPM and Union-Find, or one restricted
 // lattice for Restriction.
 type matchGraph struct {
-	verts    []int       // vertex -> syndrome detector id
 	vertOf   map[int]int // detector -> vertex
 	boundary int         // boundary vertex index, or -1
 	edges    []graphEdge
@@ -152,9 +152,8 @@ func newPairGraph(classes []dem.Class) (matchGraph, error) {
 func (g *matchGraph) vertex(det int) int {
 	vi, ok := g.vertOf[det]
 	if !ok {
-		vi = len(g.verts)
+		vi = len(g.vertOf)
 		g.vertOf[det] = vi
-		g.verts = append(g.verts, det)
 		g.adj = append(g.adj, nil)
 	}
 	return vi
@@ -166,6 +165,21 @@ func (g *matchGraph) addEdge(u, v, ci int) {
 	g.edges = append(g.edges, graphEdge{u: u, v: v, class: ci})
 	g.adj[u] = append(g.adj[u], ei)
 	g.adj[v] = append(g.adj[v], ei)
+}
+
+// sources appends to buf the vertices of the defects this graph holds,
+// in ascending vertex order, and returns it. Vertices are numbered in
+// the order classes first mention them, not in detector order, and the
+// matching's tie-breaks depend on the source order.
+func (g *matchGraph) sources(buf []int, defects []int32) []int {
+	buf = buf[:0]
+	for _, id := range defects {
+		if vi, ok := g.vertOf[int(id)]; ok {
+			buf = append(buf, vi)
+		}
+	}
+	sort.Ints(buf)
+	return buf
 }
 
 // cacheTrees enables the shared shortest-path-tree cache under the

@@ -59,12 +59,11 @@ func NewMWPM(model *dem.Model, basis css.Basis, pM float64, useFlags bool) (*MWP
 // NumClasses reports the equivalence-class count (for diagnostics).
 func (d *MWPM) NumClasses() int { return len(d.classes) }
 
-// Decode maps a shot's detector bits to predicted observable flips.
-// detBit must return whether detector id fired. It allocates a private
-// scratch per call; hot loops should hold a DecodeScratch and call
-// DecodeWith.
-func (d *MWPM) Decode(detBit func(int) bool) ([]bool, error) {
-	return d.DecodeWith(NewScratch(), detBit)
+// Decode maps a shot's defect list (see ScratchDecoder) to predicted
+// observable flips. It allocates a private scratch per call; hot loops
+// should hold a DecodeScratch and call DecodeWith.
+func (d *MWPM) Decode(defects []int32) ([]bool, error) {
+	return d.DecodeWith(NewScratch(), defects)
 }
 
 // DecodeWith is Decode drawing every per-shot buffer from sc. The
@@ -72,22 +71,18 @@ func (d *MWPM) Decode(detBit func(int) bool) ([]bool, error) {
 // from the matching layer are recovered into returned errors.
 //
 //fpn:hotpath
-func (d *MWPM) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool, err error) {
+func (d *MWPM) DecodeWith(sc *DecodeScratch, defects []int32) (corr []bool, err error) {
 	defer annotateErr(d.id, &err)
 	defer Recover(&err)
 	sc.reset(d.numObs)
 	correction := sc.correction
 	// Flipped syndrome vertices and observed flags.
-	for vi, det := range d.verts {
-		if detBit(det) {
-			sc.src = append(sc.src, vi)
-		}
-	}
+	sc.src = d.sources(sc.src, defects)
 	src := sc.src
 	if d.UseFlags {
 		// The unflagged baseline skips flag bookkeeping entirely: no flag
 		// reads, no flag-set bookkeeping, no per-class reweighting.
-		d.readFlags(sc, detBit)
+		d.readFlags(sc, defects)
 	}
 	nFlags := sc.flags.Len()
 	if len(src) == 0 {

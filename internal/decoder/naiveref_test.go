@@ -13,6 +13,7 @@ import (
 
 	"github.com/fpn/flagproxy/internal/dem"
 	"github.com/fpn/flagproxy/internal/gf2"
+	"github.com/fpn/flagproxy/internal/matching"
 )
 
 // refHeap is the old container/heap priority queue.
@@ -62,10 +63,11 @@ func refDijkstra(edges []graphEdge, adj [][]int, s int, weight []float64, nv int
 	return dist, prev
 }
 
-// naiveMWPMDecode is the pre-optimization MWPM.Decode.
-func naiveMWPMDecode(d *MWPM, detBit func(int) bool) ([]bool, error) {
+// naiveMWPMDecode is the pre-optimization MWPM.Decode. flagAll is the
+// decoder's collectFlagList, the flags the naive references probe.
+func naiveMWPMDecode(d *MWPM, flagAll []int, detBit func(int) bool) ([]bool, error) {
 	var src []int
-	for vi, det := range d.verts {
+	for vi, det := range vertDets(d.vertOf) {
 		if detBit(det) {
 			src = append(src, vi)
 		}
@@ -73,7 +75,7 @@ func naiveMWPMDecode(d *MWPM, detBit func(int) bool) ([]bool, error) {
 	correction := make([]bool, d.numObs)
 	flags := &dem.FlagSet{}
 	if d.UseFlags {
-		for _, f := range d.flagAll {
+		for _, f := range flagAll {
 			if detBit(f) {
 				flags.Add(f)
 			}
@@ -189,7 +191,7 @@ func naiveMWPMDecode(d *MWPM, detBit func(int) bool) ([]bool, error) {
 }
 
 // naiveRestrictionDecode is the pre-optimization Restriction.Decode.
-func naiveRestrictionDecode(d *Restriction, detBit func(int) bool) ([]bool, error) {
+func naiveRestrictionDecode(d *Restriction, flagAll []int, detBit func(int) bool) ([]bool, error) {
 	correction := make([]bool, d.numObs)
 	var flipped []int
 	for det := range d.detColor {
@@ -200,7 +202,7 @@ func naiveRestrictionDecode(d *Restriction, detBit func(int) bool) ([]bool, erro
 	sort.Ints(flipped)
 	flags := &dem.FlagSet{}
 	if d.UseFlags {
-		for _, f := range d.flagAll {
+		for _, f := range flagAll {
 			if detBit(f) {
 				flags.Add(f)
 			}
@@ -346,11 +348,11 @@ func refNewUF(n int) *uf {
 }
 
 // naiveUnionFindDecode is the pre-optimization UnionFind.Decode.
-func naiveUnionFindDecode(d *UnionFind, detBit func(int) bool) ([]bool, error) {
+func naiveUnionFindDecode(d *UnionFind, flagAll []int, detBit func(int) bool) ([]bool, error) {
 	correction := make([]bool, d.numObs)
 	defect := make([]bool, len(d.adj))
 	var defects []int
-	for vi, det := range d.verts {
+	for vi, det := range vertDets(d.vertOf) {
 		if detBit(det) {
 			defect[vi] = true
 			defects = append(defects, vi)
@@ -358,7 +360,7 @@ func naiveUnionFindDecode(d *UnionFind, detBit func(int) bool) ([]bool, error) {
 	}
 	flags := &dem.FlagSet{}
 	if d.UseFlags {
-		for _, f := range d.flagAll {
+		for _, f := range flagAll {
 			if detBit(f) {
 				flags.Add(f)
 			}
@@ -651,4 +653,42 @@ func naiveBPOSDDecode(d *BPOSD, detBit func(int) bool) ([]bool, error) {
 		}
 	}
 	return correction, nil
+}
+
+// collectFlagList returns the sorted union of all member flag detectors
+// across classes (including the empty-syndrome class).
+func collectFlagList(classes []dem.Class) []int {
+	seen := map[int]bool{}
+	for ci := range classes {
+		for _, m := range classes[ci].Members {
+			for _, f := range m.Flags {
+				seen[f] = true
+			}
+		}
+	}
+	out := make([]int, 0, len(seen))
+	for f := range seen {
+		out = append(out, f)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// minWeightPerfect quantizes float weights and runs the exact blossom
+// minimum-weight perfect matching.
+func minWeightPerfect(n int, edges []matchEdge) ([]int, error) {
+	qedges := make([]matching.Edge, len(edges))
+	for i, e := range edges {
+		qedges[i] = quantizeEdge(e)
+	}
+	return matching.MinWeightPerfect(n, qedges)
+}
+
+// vertDets lists each graph vertex's detector id, in vertex order.
+func vertDets(vertOf map[int]int) []int {
+	out := make([]int, len(vertOf))
+	for det, vi := range vertOf {
+		out[vi] = det
+	}
+	return out
 }

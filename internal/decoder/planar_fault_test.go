@@ -54,14 +54,14 @@ func TestMWPMPlanarD5FaultInjection(t *testing.T) {
 	amb := ambiguousFaults(model)
 	sc := NewScratch()
 	dd := diffDecoder{"mwpm-planar", dec,
-		func(bit func(int) bool) ([]bool, error) { return naiveMWPMDecode(dec, bit) }}
+		naiveRef(naiveMWPMDecode, dec, dec.classes)}
 
 	// Every single fault: differential equality plus correctness.
 	fails, ambFails := 0, 0
 	for ei, ev := range model.Events {
-		bit := combinedDetBit(ev)
-		assertSameDecode(t, dd, sc, bit, fmt.Sprintf("single-fault=%d", ei))
-		corr, err := dec.DecodeWith(sc, bit)
+		defects := EventDefects(ev)
+		assertSameDecode(t, dd, sc, combinedDetBit(ev), defects, fmt.Sprintf("single-fault=%d", ei))
+		corr, err := dec.DecodeWith(sc, defects)
 		if err != nil {
 			t.Fatalf("single fault %d: %v", ei, err)
 		}
@@ -91,9 +91,9 @@ func TestMWPMPlanarD5FaultInjection(t *testing.T) {
 			continue
 		}
 		evI, evJ := model.Events[i], model.Events[j]
-		bit := combinedDetBit(evI, evJ)
-		assertSameDecode(t, dd, sc, bit, fmt.Sprintf("double-fault=%d+%d", i, j))
-		corr, err := dec.DecodeWith(sc, bit)
+		defects := EventDefects(evI, evJ)
+		assertSameDecode(t, dd, sc, combinedDetBit(evI, evJ), defects, fmt.Sprintf("double-fault=%d+%d", i, j))
+		corr, err := dec.DecodeWith(sc, defects)
 		if err != nil {
 			t.Fatalf("double fault %d+%d: %v", i, j, err)
 		}

@@ -2,19 +2,39 @@ package decoder
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/fpn/flagproxy/internal/color"
 	"github.com/fpn/flagproxy/internal/css"
+	"github.com/fpn/flagproxy/internal/dem"
 	"github.com/fpn/flagproxy/internal/fpn"
 )
 
-// A panic raised anywhere below Decode/DecodeWith — here injected
-// through the detector-bit callback, the same unwinding path a matching
-// invariant panic takes — must surface as a returned error, not crash
-// the caller. Multi-hour Monte-Carlo sweeps count such failures
-// conservatively instead of dying.
+// obsFlippingShot returns the defect list of the model's first single
+// fault whose decode by dec flips an observable.
+func obsFlippingShot(t *testing.T, dec interface {
+	Decode([]int32) ([]bool, error)
+}, model *dem.Model) []int32 {
+	t.Helper()
+	for _, ev := range model.Events {
+		defects := EventDefects(ev)
+		corr, err := dec.Decode(defects)
+		if err == nil && slices.Contains(corr, true) {
+			return defects
+		}
+	}
+	t.Fatal("no single fault decodes to an observable flip")
+	return nil
+}
+
+// A panic raised anywhere below Decode/DecodeWith — here an index out of
+// range inside the decoder, injected by a copy whose observable count is
+// zeroed so that applying any correction overruns the correction slice —
+// must surface as a returned error, not crash the caller. Multi-hour
+// Monte-Carlo sweeps count such failures conservatively instead of
+// dying.
 func TestDecodeRecoversPanicsIntoErrors(t *testing.T) {
 	code := hyper55(t)
 	model, _ := buildModel(t, code, fpn.Options{UseFlags: true, FlagSharing: true, MaxDegree: 4}, css.Z, 2, 1e-3)
@@ -40,20 +60,22 @@ func TestDecodeRecoversPanicsIntoErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := func(int) bool { panic("matching: stuck without maxCardinality") }
+	badMW, badUF, badRS, badBP := *mw, *uf, *rs, *bp
+	badMW.numObs, badUF.numObs, badRS.numObs, badBP.numObs = 0, 0, 0, 0
 	decs := map[string]struct {
 		dec interface {
-			Decode(func(int) bool) ([]bool, error)
+			Decode([]int32) ([]bool, error)
 		}
-		tag string // decoder identity every counted error must carry
+		shot []int32
+		tag  string // decoder identity every counted error must carry
 	}{
-		"mwpm":        {mw, "mwpm(basis=Z flags=true pM=0.001)"},
-		"unionfind":   {uf, "unionfind(basis=Z flags=true pM=0.001)"},
-		"restriction": {rs, "restriction(basis=Z flags=true lifting=true pM=0.001)"},
-		"bposd":       {bp, "bp-osd(basis=Z iters=5)"},
+		"mwpm":        {&badMW, obsFlippingShot(t, mw, model), "mwpm(basis=Z flags=true pM=0.001)"},
+		"unionfind":   {&badUF, obsFlippingShot(t, uf, model), "unionfind(basis=Z flags=true pM=0.001)"},
+		"restriction": {&badRS, obsFlippingShot(t, rs, cmodel), "restriction(basis=Z flags=true lifting=true pM=0.001)"},
+		"bposd":       {&badBP, obsFlippingShot(t, bp, model), "bp-osd(basis=Z iters=5)"},
 	}
 	for name, tc := range decs {
-		corr, err := tc.dec.Decode(boom)
+		corr, err := tc.dec.Decode(tc.shot)
 		if err == nil {
 			t.Errorf("%s: panic below Decode was not recovered into an error", name)
 			continue
@@ -61,7 +83,7 @@ func TestDecodeRecoversPanicsIntoErrors(t *testing.T) {
 		if corr != nil {
 			t.Errorf("%s: recovered Decode returned a non-nil correction", name)
 		}
-		if !strings.Contains(err.Error(), "recovered panic") || !strings.Contains(err.Error(), "maxCardinality") {
+		if !strings.Contains(err.Error(), "recovered panic") || !strings.Contains(err.Error(), "index out of range") {
 			t.Errorf("%s: recovered error %q lost the panic message", name, err)
 		}
 		if !strings.Contains(err.Error(), tc.tag) {
@@ -69,13 +91,20 @@ func TestDecodeRecoversPanicsIntoErrors(t *testing.T) {
 		}
 	}
 	// A healthy shot must still decode after a recovered panic on the
-	// same decoder and scratch: recovery must not poison shared state.
+	// same scratch and the decoder whose caches the sabotaged copy
+	// shares: recovery must not poison shared state.
+	shot := decs["mwpm"].shot
 	sc := NewScratch()
-	if _, err := mw.DecodeWith(sc, boom); err == nil {
+	if _, err := badMW.DecodeWith(sc, shot); err == nil {
 		t.Fatal("DecodeWith did not recover the injected panic")
 	}
-	if corr, err := mw.DecodeWith(sc, func(int) bool { return false }); err != nil || corr == nil {
-		t.Fatalf("decode after a recovered panic failed: corr=%v err=%v", corr, err)
+	want, err := mw.Decode(shot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mw.DecodeWith(sc, shot)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("decode after a recovered panic diverged: corr=%v want %v err=%v", got, want, err)
 	}
 }
 

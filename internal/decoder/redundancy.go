@@ -1,27 +1,12 @@
 package decoder
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/dem"
 )
-
-// maskedMWPM wraps an MWPM decoder with one flag detector forced to 0,
-// emulating an architecture that does not measure that flag.
-type maskedMWPM struct {
-	d    *MWPM
-	flag int
-}
-
-func (m maskedMWPM) Decode(detBit func(int) bool) ([]bool, error) {
-	return m.d.Decode(func(det int) bool {
-		if det == m.flag {
-			return false
-		}
-		return detBit(det)
-	})
-}
 
 // OperationallyRedundantFlags measures flag overuse (the paper's
 // Figure 5 discussion) operationally: a flag detector is redundant if
@@ -50,39 +35,19 @@ func OperationallyRedundantFlags(model *dem.Model, basis css.Basis, pM float64) 
 			byFlag[f] = append(byFlag[f], ev)
 		}
 	}
-	detBitOf := func(ev dem.Event) func(int) bool {
-		set := map[int]bool{}
-		for _, d := range ev.Dets {
-			set[d] = true
-		}
-		for _, f := range ev.Flags {
-			set[f] = true
-		}
-		return func(d int) bool { return set[d] }
-	}
 	var redundant []int
 	//fpnvet:orderless each flag is judged independently; redundant is sorted after the loop
 	for f, events := range byFlag {
-		masked := maskedMWPM{d: base, flag: f}
 		same := true
 		for _, ev := range events {
-			bit := detBitOf(ev)
-			c1, err1 := base.Decode(bit)
-			c2, err2 := masked.Decode(bit)
-			if (err1 == nil) != (err2 == nil) {
+			// Masking the flag emulates an architecture that does not
+			// measure it: the flag never reads as fired.
+			defects := EventDefects(ev)
+			masked := slices.DeleteFunc(slices.Clone(defects), func(id int32) bool { return int(id) == f })
+			c1, err1 := base.Decode(defects)
+			c2, err2 := base.Decode(masked)
+			if (err1 == nil) != (err2 == nil) || err1 == nil && !slices.Equal(c1, c2) {
 				same = false
-				break
-			}
-			if err1 != nil {
-				continue
-			}
-			for o := range c1 {
-				if c1[o] != c2[o] {
-					same = false
-					break
-				}
-			}
-			if !same {
 				break
 			}
 		}

@@ -34,8 +34,7 @@ type Restriction struct {
 	classTable
 	id string // kind+config tag attached to decode errors
 
-	detColor map[int]int
-	detAll   []int // sorted syndrome detectors of this basis
+	detColor map[int]int // syndrome detector of this basis -> color
 
 	lat [3]matchGraph // the restricted lattices, in latticePairs order
 }
@@ -61,10 +60,8 @@ func NewRestriction(model *dem.Model, basis css.Basis, pM float64, useFlags, fla
 				return nil, fmt.Errorf("decoder: detector %d lacks a color", di)
 			}
 			d.detColor[di] = det.Color
-			d.detAll = append(d.detAll, di)
 		}
 	}
-	sort.Ints(d.detAll)
 	for li := range d.lat {
 		d.lat[li] = newMatchGraph()
 	}
@@ -96,11 +93,11 @@ func NewRestriction(model *dem.Model, basis css.Basis, pM float64, useFlags, fla
 	return d, nil
 }
 
-// Decode maps detector bits to predicted observable flips. It allocates
-// a private scratch per call; hot loops should hold a DecodeScratch and
-// call DecodeWith.
-func (d *Restriction) Decode(detBit func(int) bool) ([]bool, error) {
-	return d.DecodeWith(NewScratch(), detBit)
+// Decode maps a shot's defect list (see ScratchDecoder) to predicted
+// observable flips. It allocates a private scratch per call; hot loops
+// should hold a DecodeScratch and call DecodeWith.
+func (d *Restriction) Decode(defects []int32) ([]bool, error) {
+	return d.DecodeWith(NewScratch(), defects)
 }
 
 // DecodeWith is Decode drawing every per-shot buffer from sc. The
@@ -108,7 +105,7 @@ func (d *Restriction) Decode(detBit func(int) bool) ([]bool, error) {
 // from the matching layer are recovered into returned errors.
 //
 //fpn:hotpath
-func (d *Restriction) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool, err error) {
+func (d *Restriction) DecodeWith(sc *DecodeScratch, defects []int32) (corr []bool, err error) {
 	defer annotateErr(d.id, &err)
 	defer Recover(&err)
 	sc.reset(d.numObs)
@@ -116,14 +113,14 @@ func (d *Restriction) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr
 	rs.ensure()
 	correction := sc.correction
 	rs.flipped = rs.flipped[:0]
-	for _, det := range d.detAll {
-		if detBit(det) {
-			rs.flipped = append(rs.flipped, det)
+	for _, id := range defects {
+		if _, ok := d.detColor[int(id)]; ok {
+			rs.flipped = append(rs.flipped, int(id))
 		}
 	}
 	flipped := rs.flipped
 	if d.UseFlags {
-		d.readFlags(sc, detBit)
+		d.readFlags(sc, defects)
 	}
 	nFlags := sc.flags.Len()
 	if len(flipped) == 0 {

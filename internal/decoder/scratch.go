@@ -17,11 +17,17 @@ import (
 
 // ScratchDecoder is implemented by decoders whose hot path can run
 // allocation-free against a caller-owned DecodeScratch.
+//
+// Every decoder reads one shot as its defect list: the ids of the
+// detectors that fired, syndrome detectors and flags together, sorted
+// ascending and without duplicates (Defects.Lane and EventDefects build
+// such lists). Ids outside the decoder's graph are ignored. A decoder
+// neither modifies the list nor retains it past the call.
 type ScratchDecoder interface {
 	// DecodeWith behaves exactly like Decode but draws every per-shot
 	// buffer from sc. The returned slice aliases sc and is valid only
 	// until the next DecodeWith call on the same scratch.
-	DecodeWith(sc *DecodeScratch, detBit func(int) bool) ([]bool, error)
+	DecodeWith(sc *DecodeScratch, defects []int32) ([]bool, error)
 }
 
 // DecodeScratch is a per-worker reusable arena for decoder hot paths.

@@ -80,11 +80,11 @@ func (u *uf) neutral(x int) bool {
 	return u.parity[r] == 0 || u.bound[r]
 }
 
-// Decode maps detector bits to predicted observable flips. It allocates
-// a private scratch per call; hot loops should hold a DecodeScratch and
-// call DecodeWith.
-func (d *UnionFind) Decode(detBit func(int) bool) ([]bool, error) {
-	return d.DecodeWith(NewScratch(), detBit)
+// Decode maps a shot's defect list (see ScratchDecoder) to predicted
+// observable flips. It allocates a private scratch per call; hot loops
+// should hold a DecodeScratch and call DecodeWith.
+func (d *UnionFind) Decode(defects []int32) ([]bool, error) {
+	return d.DecodeWith(NewScratch(), defects)
 }
 
 // DecodeWith is Decode drawing every per-shot buffer from sc. The
@@ -92,7 +92,7 @@ func (d *UnionFind) Decode(detBit func(int) bool) ([]bool, error) {
 // panics are recovered into returned errors.
 //
 //fpn:hotpath
-func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr []bool, err error) {
+func (d *UnionFind) DecodeWith(sc *DecodeScratch, defects []int32) (corr []bool, err error) {
 	defer annotateErr(d.id, &err)
 	defer Recover(&err)
 	sc.reset(d.numObs)
@@ -100,22 +100,17 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 	correction := sc.correction
 	nv := len(d.adj)
 	us.defect = growBools(us.defect, nv)
-	for i := range us.defect {
-		us.defect[i] = false
-	}
+	clear(us.defect)
 	defect := us.defect
-	us.defects = us.defects[:0]
-	for vi, det := range d.verts {
-		if detBit(det) {
-			defect[vi] = true
-			us.defects = append(us.defects, vi)
-		}
+	us.defects = d.sources(us.defects, defects)
+	src := us.defects
+	for _, vi := range src {
+		defect[vi] = true
 	}
-	defects := us.defects
 	if d.UseFlags {
-		d.readFlags(sc, detBit)
+		d.readFlags(sc, defects)
 	}
-	if len(defects) == 0 {
+	if len(src) == 0 {
 		// Flag-only shots decode through the empty-syndrome class.
 		if d.UseFlags {
 			applyEmptyClass(d.empty, &sc.flags, correction)
@@ -142,7 +137,7 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 		us.bound[i] = false
 	}
 	u := uf{parent: us.parent, rank: us.rank, parity: us.parity, bound: us.bound}
-	for _, v := range defects {
+	for _, v := range src {
 		u.parity[v] = 1
 	}
 	if d.boundary >= 0 {
@@ -151,16 +146,12 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 	// Edge growth: 0 (untouched), 1 (half), 2 (grown). Grow all edges on
 	// the frontier of non-neutral clusters by one half-step per stage.
 	us.growth = growInts(us.growth, len(d.edges))
-	for i := range us.growth {
-		us.growth[i] = 0
-	}
+	clear(us.growth)
 	growth := us.growth
 	us.inCluster = growBools(us.inCluster, nv)
-	for i := range us.inCluster {
-		us.inCluster[i] = false
-	}
+	clear(us.inCluster)
 	inCluster := us.inCluster
-	for _, v := range defects {
+	for _, v := range src {
 		inCluster[v] = true
 	}
 	us.grownEdges = us.grownEdges[:0]
@@ -192,7 +183,7 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 			break
 		}
 		allNeutral := true
-		for _, v := range defects {
+		for _, v := range src {
 			if !u.neutral(v) {
 				allNeutral = false
 				break
@@ -202,7 +193,7 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 			break
 		}
 	}
-	for _, v := range defects {
+	for _, v := range src {
 		if !u.neutral(v) {
 			return nil, fmt.Errorf("decoder: union-find failed to neutralize all clusters")
 		}
@@ -226,9 +217,7 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 		treeAdj[e.v] = append(treeAdj[e.v], ei)
 	}
 	us.visited = growBools(us.visited, nv)
-	for i := range us.visited {
-		us.visited[i] = false
-	}
+	clear(us.visited)
 	visited := us.visited
 	us.order = us.order[:0]
 	us.parentEdge = growInts(us.parentEdge, nv)
@@ -263,7 +252,7 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 	if d.boundary >= 0 {
 		bfs(d.boundary)
 	}
-	for _, v := range defects {
+	for _, v := range src {
 		bfs(v)
 	}
 	// Peel from the leaves (reverse BFS order): a defective vertex sends
@@ -288,7 +277,7 @@ func (d *UnionFind) DecodeWith(sc *DecodeScratch, detBit func(int) bool) (corr [
 			defect[to] = !defect[to]
 		}
 	}
-	for _, v := range defects {
+	for _, v := range src {
 		if defect[v] {
 			return nil, fmt.Errorf("decoder: peeling left an unmatched defect")
 		}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"github.com/fpn/flagproxy/internal/circuit"
+	"github.com/fpn/flagproxy/internal/decoder"
 	"github.com/fpn/flagproxy/internal/sim"
 )
 
@@ -140,11 +141,9 @@ func (r *BlockRunner) climb(lad *Ladder, res **shardRes, first, n int, halt func
 	return Climb(lad, res, open, (*shardRes).count)
 }
 
-// shardRes is all one shard attempt owns — sampler, counts buffer and
-// decoder handle — so an attempt abandoned at its deadline shares no
-// buffer with a live one. The detector-bit closure is built once per
-// owner and reads the mutable (res, shot) fields, so the per-shot loop
-// allocates nothing.
+// shardRes is all one shard attempt owns — sampler, counts buffer,
+// defect lists and decoder handle — so an attempt abandoned at its
+// deadline shares no buffer with a live one.
 type shardRes struct {
 	first, shots int   // first 64-shot block, shots from it on
 	seed         int64 // the run's base seed
@@ -154,25 +153,20 @@ type shardRes struct {
 	counts       []int
 	dec          *PooledDecoder
 	res          *sim.Result
-	shot         int
-	bit          func(int) bool
+	lanes        decoder.Defects // the scalar loop's per-lane decode inputs
 }
 
 // open borrows a handle on pool p with its own sampler and counts
 // buffer, for shards of up to blocks blocks that poll halt.
 func (r *BlockRunner) open(p *DecoderPool, blocks int, halt func() bool) *shardRes {
-	res := &shardRes{
+	return &shardRes{
 		seed: r.cfg.Seed, halt: halt, c: r.c, dec: p.Get(),
 		smp: sim.NewBlockSampler(r.c, blocks), counts: make([]int, blocks),
 	}
-	res.bit = res.detectorBit
-	return res
 }
 
 // Release returns the decode scratch to its pool.
 func (r *shardRes) Release() { r.dec.Release() }
-
-func (r *shardRes) detectorBit(d int) bool { return r.res.DetectorBit(d, r.shot) }
 
 // count samples the shard and counts each 64-shot block's logical
 // errors, checking halt before every block, and returns the counts of
@@ -207,14 +201,15 @@ func (r *shardRes) countBlock(laneLo, shots int) int {
 		return errs
 	}
 	errs := 0
-	for r.shot = laneLo; r.shot < laneLo+shots; r.shot++ {
-		corr, err := r.dec.Decode(r.bit)
+	r.lanes.Extract(r.res, laneLo, shots)
+	for l := 0; l < shots; l++ {
+		corr, err := r.dec.Decode(r.lanes.Lane(l))
 		if err != nil {
 			errs++
 			continue
 		}
 		for o := range r.c.Observables {
-			if corr[o] != r.res.ObservableBit(o, r.shot) {
+			if corr[o] != r.res.ObservableBit(o, laneLo+l) {
 				errs++
 				break
 			}

@@ -51,11 +51,11 @@ type panicOnCall struct {
 	calls atomic.Int64
 }
 
-func (d *panicOnCall) Decode(bit func(int) bool) ([]bool, error) {
+func (d *panicOnCall) Decode(defects []int32) ([]bool, error) {
 	if d.calls.Add(1)-1 == d.n || d.every {
 		panic("injected: matching: stuck without maxCardinality")
 	}
-	return d.dec.Decode(bit)
+	return d.dec.Decode(defects)
 }
 
 // recoveredErrDecoder imitates a decoder whose internal matcher panics
@@ -63,7 +63,7 @@ func (d *panicOnCall) Decode(bit func(int) bool) ([]bool, error) {
 // does — every call returns an error.
 type recoveredErrDecoder struct{}
 
-func (recoveredErrDecoder) Decode(bit func(int) bool) (corr []bool, err error) {
+func (recoveredErrDecoder) Decode([]int32) (corr []bool, err error) {
 	defer decoder.Recover(&err)
 	panic("matching: stuck without maxCardinality")
 }

@@ -9,6 +9,7 @@ import (
 
 	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
+	"github.com/fpn/flagproxy/internal/decoder"
 	"github.com/fpn/flagproxy/internal/dem"
 	"github.com/fpn/flagproxy/internal/fpn"
 	"github.com/fpn/flagproxy/internal/noise"
@@ -123,20 +124,13 @@ func MeasureDeff(cfg Config, pairSamples int) (*DeffReport, error) {
 // decodeEvent synthesizes the combined detector readout of the faults,
 // decodes it and compares against the combined observable flips.
 func decodeEvent(dec Decoder, c *circuit.Circuit, events []dem.Event) (bool, error) {
-	det := map[int]bool{}
 	obs := map[int]bool{}
 	for _, ev := range events {
-		for _, d := range ev.Dets {
-			det[d] = !det[d]
-		}
-		for _, f := range ev.Flags {
-			det[f] = !det[f]
-		}
 		for _, o := range ev.Obs {
 			obs[o] = !obs[o]
 		}
 	}
-	corr, err := dec.Decode(func(d int) bool { return det[d] })
+	corr, err := dec.Decode(decoder.EventDefects(events...))
 	if err != nil {
 		return false, nil // decode failure counts as a logical error
 	}

@@ -366,11 +366,11 @@ type PooledDecoder struct {
 // violation) must reach the ladder's recover so the whole shard is
 // quarantined with a repro instead of miscounted as per-shot logical
 // errors.
-func (d *PooledDecoder) Decode(bit func(int) bool) ([]bool, error) {
+func (d *PooledDecoder) Decode(defects []int32) ([]bool, error) {
 	if d.sc != nil {
-		return d.pool.scratch.DecodeWith(d.sc, bit)
+		return d.pool.scratch.DecodeWith(d.sc, defects)
 	}
-	return d.pool.dec.Decode(bit)
+	return d.pool.dec.Decode(defects)
 }
 
 // DecodeBlock decodes one 64-shot sampling block through the batch

@@ -6,6 +6,7 @@ import (
 
 	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
+	"github.com/fpn/flagproxy/internal/decoder"
 	"github.com/fpn/flagproxy/internal/dem"
 	"github.com/fpn/flagproxy/internal/noise"
 	"github.com/fpn/flagproxy/internal/sim"
@@ -70,8 +71,12 @@ func BenchmarkEngineLegacySingleBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := sim.Run(c, benchShots, 1)
 		errs := 0
+		var lanes decoder.Defects
 		for shot := 0; shot < benchShots; shot++ {
-			corr, err := dec.Decode(func(d int) bool { return res.DetectorBit(d, shot) })
+			if shot%64 == 0 {
+				lanes.Extract(res, shot, min(64, benchShots-shot))
+			}
+			corr, err := dec.Decode(lanes.Lane(shot % 64))
 			if err != nil {
 				errs++
 				continue

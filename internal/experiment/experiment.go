@@ -226,9 +226,12 @@ func Reconstruct(cfg Config, blocks, shots, logicalErrors int, earlyStopped bool
 	}
 }
 
-// Decoder is the common decode interface of both decoder families.
+// Decoder is the common decode interface of both decoder families. It
+// reads a shot as its defect list: the fired detector and flag ids,
+// sorted and distinct. Ids outside the decoder's graph are ignored; the
+// list is neither modified nor retained past the call.
 type Decoder interface {
-	Decode(func(int) bool) ([]bool, error)
+	Decode(defects []int32) ([]bool, error)
 }
 
 func newDecoder(kind DecoderKind, model *dem.Model, basis css.Basis, pM float64) (Decoder, error) {

@@ -24,12 +24,12 @@ type hangOnCall struct {
 	release chan struct{}
 }
 
-func (d *hangOnCall) Decode(bit func(int) bool) ([]bool, error) {
+func (d *hangOnCall) Decode(defects []int32) ([]bool, error) {
 	if d.calls.Add(1)-1 == d.n {
 		<-d.release
 		return nil, fmt.Errorf("injected hang released")
 	}
-	return d.dec.Decode(bit)
+	return d.dec.Decode(defects)
 }
 
 // slowOnCall wraps a decoder and sleeps before every Decode call — a
@@ -39,9 +39,9 @@ type slowOnCall struct {
 	delay time.Duration
 }
 
-func (d *slowOnCall) Decode(bit func(int) bool) ([]bool, error) {
+func (d *slowOnCall) Decode(defects []int32) ([]bool, error) {
 	time.Sleep(d.delay)
-	return d.dec.Decode(bit)
+	return d.dec.Decode(defects)
 }
 
 // Tentpole: a decoder that hangs forever would stall the sweep — no

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"os"
 	"runtime"
@@ -386,12 +387,23 @@ func (s *Server) unregister(st *stream) {
 // its position in the stream. Windows are pooled; words are sized once
 // for the serving circuit.
 type window struct {
-	idx   int
-	words []uint64
-	st    *stream
+	idx     int
+	words   []uint64
+	defects []int32 // the decode input, built from words by fired
+	st      *stream
 }
 
-func (w *window) bit(d int) bool { return w.words[d>>6]>>(uint(d)&63)&1 == 1 }
+// fired returns the window's defect list: its fired detector ids in
+// ascending order, reusing the window's buffer.
+func (w *window) fired() []int32 {
+	w.defects = w.defects[:0]
+	for i, word := range w.words {
+		for ; word != 0; word &= word - 1 {
+			w.defects = append(w.defects, int32(i<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return w.defects
+}
 
 func (s *Server) newWindow(st *stream, idx int) *window {
 	w := s.winPool.Get().(*window)
@@ -844,8 +856,9 @@ var verdictStatus = [...]string{
 func (s *Server) decodeWindow(pd **experiment.PooledDecoder, win *window) wres {
 	rpw := int64(s.rpw)
 	start := s.clock.Now()
+	defects := win.fired()
 	out := experiment.Climb(s.ladder, pd, (*experiment.DecoderPool).Get, func(h *experiment.PooledDecoder) ([]int, error) {
-		corr, err := h.Decode(win.bit)
+		corr, err := h.Decode(defects)
 		if err != nil {
 			return nil, err
 		}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/fpn/flagproxy/internal/css"
+	"github.com/fpn/flagproxy/internal/decoder"
 	"github.com/fpn/flagproxy/internal/experiment"
 	"github.com/fpn/flagproxy/internal/fpn"
 	"github.com/fpn/flagproxy/internal/rtd"
@@ -73,7 +74,10 @@ func sampleWindows(t testing.TB, o *experiment.Online, n int) ([][][]int, *sim.R
 // path — and returns the committed flips.
 func offlineFlips(t testing.TB, pd *experiment.PooledDecoder, res *sim.Result, s int) []int {
 	t.Helper()
-	corr, err := pd.Decode(func(d int) bool { return res.DetectorBit(d, s) })
+	var lanes decoder.Defects
+	first := s &^ 63
+	lanes.Extract(res, first, min(64, res.Shots-first))
+	corr, err := pd.Decode(lanes.Lane(s - first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +187,10 @@ type gateDecoder struct {
 	calls   atomic.Int64
 }
 
-func (g *gateDecoder) Decode(bit func(int) bool) ([]bool, error) {
+func (g *gateDecoder) Decode(defects []int32) ([]bool, error) {
 	g.calls.Add(1)
 	<-g.release
-	return g.inner.Decode(bit)
+	return g.inner.Decode(defects)
 }
 
 // With one worker wedged on window 0 and a queue of depth 2, windows 1
@@ -270,7 +274,7 @@ type hungForever struct {
 	release chan struct{}
 }
 
-func (h *hungForever) Decode(func(int) bool) ([]bool, error) {
+func (h *hungForever) Decode([]int32) ([]bool, error) {
 	<-h.release
 	return nil, nil
 }
