@@ -114,34 +114,37 @@ func (c *Code) ChecksOf(b Basis) []int {
 }
 
 // logicalBasis returns k independent representatives of
-// ker(hKer) / rowspace(hMod).
+// ker(hKer) / rowspace(hMod): the first nullspace vectors, in order, that
+// are independent of the stabilizer and of the vectors already chosen.
+// One incremental echelon decides each candidate: the RREF rows of hMod
+// plus every accepted candidate reduced against the rows before it, each
+// under a pivot no earlier row has.
 func logicalBasis(hKer, hMod *gf2.Matrix, k int) []gf2.Vec {
-	ns := gf2.NullspaceBasis(hKer)
 	mod := gf2.RowReduce(hMod)
+	rows := make([]gf2.Vec, 0, mod.Rank+k)
+	pivots := make([]int, 0, mod.Rank+k)
+	for r := 0; r < mod.Rank; r++ {
+		rows = append(rows, mod.M.Row(r))
+		pivots = append(pivots, mod.Pivots[r])
+	}
 	var logicals []gf2.Vec
-	// Maintain an echelon of rowspace(hMod) + chosen logicals to test
-	// independence modulo the stabilizer.
-	span := hMod.Clone()
-	for _, v := range ns {
-		if mod.InRowSpace(v) {
-			continue
+	for _, v := range gf2.NullspaceBasis(hKer) {
+		w := v.Clone()
+		for r, row := range rows {
+			if w.Get(pivots[r]) {
+				w.Xor(row)
+			}
 		}
-		// Is v independent of span (stabilizer + already chosen)?
-		spanEch := gf2.RowReduce(span)
-		if spanEch.InRowSpace(v) {
-			continue
+		pivot := w.First()
+		if pivot < 0 {
+			continue // in the span of the stabilizer and the chosen logicals
 		}
 		logicals = append(logicals, v)
-		// Rebuild span with the new row appended.
-		rows := make([]gf2.Vec, 0, span.Rows()+1)
-		for i := 0; i < span.Rows(); i++ {
-			rows = append(rows, span.Row(i))
-		}
-		rows = append(rows, v)
-		span = gf2.MatrixFromRows(rows, hMod.Cols())
 		if len(logicals) == k {
 			break
 		}
+		rows = append(rows, w)
+		pivots = append(pivots, pivot)
 	}
 	return logicals
 }

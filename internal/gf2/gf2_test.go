@@ -31,6 +31,13 @@ func TestVecBasics(t *testing.T) {
 	if len(sup) != 2 || sup[0] != 0 || sup[1] != 129 {
 		t.Fatalf("Support = %v", sup)
 	}
+	if f := v.First(); f != 0 {
+		t.Fatalf("First = %d, want 0", f)
+	}
+	v.Flip(0)
+	if f := v.First(); f != 129 {
+		t.Fatalf("First = %d, want 129", f)
+	}
 }
 
 func TestVecFromSupportAndInts(t *testing.T) {
@@ -71,7 +78,7 @@ func TestVecPanicsOnBounds(t *testing.T) {
 
 func TestVecZeroLength(t *testing.T) {
 	v := NewVec(0)
-	if !v.IsZero() || v.Weight() != 0 || len(v.Support()) != 0 {
+	if !v.IsZero() || v.Weight() != 0 || len(v.Support()) != 0 || v.First() != -1 {
 		t.Fatal("zero-length vector misbehaves")
 	}
 }

@@ -150,6 +150,16 @@ func (v Vec) Support() []int {
 	return s
 }
 
+// First returns the index of the lowest set bit, or -1 if v is zero.
+func (v Vec) First() int {
+	for wi, word := range v.words {
+		if word != 0 {
+			return wi*wordBits + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
 // String renders the vector as a 0/1 string.
 func (v Vec) String() string {
 	var sb strings.Builder

@@ -10,8 +10,8 @@ import (
 type Group struct {
 	Name     string
 	Elements []Perm
-	index    map[string]int
 	gens     []Perm
+	index    *closure // looks elements up by image
 }
 
 // Generate enumerates the closure of the generators by breadth-first
@@ -26,38 +26,28 @@ func Generate(name string, gens []Perm, limit int) (*Group, error) {
 			return nil, fmt.Errorf("group: generator degree mismatch")
 		}
 	}
-	g := &Group{Name: name, index: make(map[string]int), gens: gens}
-	id := Identity(deg)
-	g.Elements = append(g.Elements, id)
-	g.index[id.Key()] = 0
-	frontier := []Perm{id}
-	for len(frontier) > 0 {
-		var next []Perm
-		for _, e := range frontier {
-			for _, gen := range gens {
-				prod := gen.Mul(e)
-				k := prod.Key()
-				if _, ok := g.index[k]; !ok {
-					if len(g.Elements) >= limit {
-						return nil, fmt.Errorf("group %s: exceeded limit %d", name, limit)
-					}
-					g.index[k] = len(g.Elements)
-					g.Elements = append(g.Elements, prod)
-					next = append(next, prod)
-				}
-			}
-		}
-		frontier = next
+	var c closure
+	if !c.run(gens, limit) {
+		return nil, fmt.Errorf("group %s: exceeded limit %d", name, limit)
 	}
-	return g, nil
+	return c.group(name, gens), nil
 }
 
 // Order returns the number of group elements.
 func (g *Group) Order() int { return len(g.Elements) }
 
+// Index returns the position of p in Elements, if p is an element of g.
+func (g *Group) Index(p Perm) (int, bool) {
+	if len(p) != g.index.deg {
+		return 0, false
+	}
+	_, i := g.index.find(p, hashImage(p))
+	return i, i >= 0
+}
+
 // Contains reports whether p is an element of g.
 func (g *Group) Contains(p Perm) bool {
-	_, ok := g.index[p.Key()]
+	_, ok := g.Index(p)
 	return ok
 }
 
@@ -89,14 +79,4 @@ func (g *Group) OrderHistogram() [][2]int {
 		out[i] = [2]int{k, m[k]}
 	}
 	return out
-}
-
-// SubgroupSize returns the order of ⟨gens⟩ inside this group's parent
-// symmetric group (it does not require the generators to lie in g).
-func SubgroupSize(gens []Perm, limit int) (int, error) {
-	sub, err := Generate("sub", gens, limit)
-	if err != nil {
-		return 0, err
-	}
-	return sub.Order(), nil
 }

@@ -7,11 +7,7 @@
 // computer-algebra system.
 package group
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Perm is a permutation of {0..n-1}; p[i] is the image of i.
 type Perm []int
@@ -147,17 +143,6 @@ func (p Perm) AllCyclesLen(l int) bool {
 		}
 	}
 	return true
-}
-
-// Key returns a compact string key for map storage.
-func (p Perm) Key() string {
-	var sb strings.Builder
-	sb.Grow(len(p) * 3)
-	for _, v := range p {
-		sb.WriteString(strconv.Itoa(v))
-		sb.WriteByte(',')
-	}
-	return sb.String()
 }
 
 // Pow returns p raised to the k-th power (k may be negative).

@@ -217,15 +217,15 @@ func (m *Map) EdgeEndpoints() [][2]int {
 func FromGroupPair(p group.RSPair) (*Map, error) {
 	h := p.Sub
 	n := h.Order()
-	index := make(map[string]int, n)
-	for i, e := range h.Elements {
-		index[e.Key()] = i
-	}
 	sigma := make([]int, n)
 	alpha := make([]int, n)
 	for i, e := range h.Elements {
-		sigma[i] = index[p.X.Mul(e).Key()]
-		alpha[i] = index[p.Y.Mul(e).Key()]
+		si, okX := h.Index(p.X.Mul(e))
+		ai, okY := h.Index(p.Y.Mul(e))
+		if !okX || !okY {
+			return nil, fmt.Errorf("tiling: rotation pair does not lie in its subgroup")
+		}
+		sigma[i], alpha[i] = si, ai
 	}
 	return New(sigma, alpha)
 }

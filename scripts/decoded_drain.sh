@@ -19,11 +19,15 @@ go build -o "$work/decoded" ./cmd/decoded
 # configuration fingerprint on every stream).
 args=(-d 3 -p 5e-3 -seed 11)
 
-# wait_for_addr SERVER_STDERR: echo the announced listen address.
+# wait_for_addr SERVER_STDERR: echo the announced listen address. The
+# backgrounded server opens its stderr file itself, so the file may not
+# exist yet on the first tries.
 wait_for_addr() {
     local addr=""
     for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^decoded: serving on \([^ ]*\).*/\1/p' "$1" | head -n1)"
+        if [ -f "$1" ]; then
+            addr="$(sed -n 's/^decoded: serving on \([^ ]*\).*/\1/p' "$1" | head -n1)"
+        fi
         [ -n "$addr" ] && break
         sleep 0.1
     done
