@@ -17,7 +17,6 @@ import (
 	"github.com/fpn/flagproxy/internal/fpn"
 	"github.com/fpn/flagproxy/internal/noise"
 	"github.com/fpn/flagproxy/internal/schedule"
-	"github.com/fpn/flagproxy/internal/sim"
 	"github.com/fpn/flagproxy/internal/surface"
 )
 
@@ -348,7 +347,7 @@ func BenchmarkAblationRenormalization(b *testing.B) {
 	}
 	var withBER, withoutBER float64
 	for i := 0; i < b.N; i++ {
-		res := sim.Run(c, 1000, 5)
+		res := sample(c, 1000, 5)
 		for variant := 0; variant < 2; variant++ {
 			dec, err := decoder.NewMWPM(model, css.Z, nm.MeasFlip(), true)
 			if err != nil {

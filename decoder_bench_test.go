@@ -23,6 +23,12 @@ type decoderFixture struct {
 	shots int
 }
 
+// sample draws shots lanes of c from blocks 0, 1, … of a fresh
+// BlockSampler seeded with base seed.
+func sample(c *circuit.Circuit, shots int, seed int64) *sim.Result {
+	return sim.NewBlockSampler(c, (shots+63)/64).Run(0, shots, seed)
+}
+
 func newDecoderFixture(b *testing.B) *decoderFixture {
 	b.Helper()
 	code := catalogCode(b, "surface", 30)
@@ -48,7 +54,7 @@ func newDecoderFixture(b *testing.B) *decoderFixture {
 		b.Fatal(err)
 	}
 	shots := 512
-	return &decoderFixture{c: c, model: model, res: sim.Run(c, shots, 42), shots: shots}
+	return &decoderFixture{c: c, model: model, res: sample(c, shots, 42), shots: shots}
 }
 
 func (f *decoderFixture) decodeAll(b *testing.B, dec interface {
@@ -122,12 +128,14 @@ func BenchmarkDEMExtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameSampler measures the bit-packed Pauli-frame sampler.
+// BenchmarkFrameSampler measures the bit-packed Pauli-frame sampler the
+// way the engine drives it: one reused 64-block BlockSampler, base seed i.
 func BenchmarkFrameSampler(b *testing.B) {
 	f := newDecoderFixture(b)
+	smp := sim.NewBlockSampler(f.c, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Run(f.c, 4096, int64(i))
+		smp.Run(0, 4096, int64(i))
 	}
 	b.ReportMetric(4096*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
 }
@@ -175,7 +183,7 @@ func planarFixture(b *testing.B) *decoderFixture {
 		b.Fatal(err)
 	}
 	shots := 512
-	return &decoderFixture{c: c, model: model, res: sim.Run(c, shots, 42), shots: shots}
+	return &decoderFixture{c: c, model: model, res: sample(c, shots, 42), shots: shots}
 }
 
 // benchDecodeShots measures the per-shot decode cost (and allocations)
@@ -354,7 +362,7 @@ func BenchmarkDecodeRestriction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := &decoderFixture{c: c, model: model, res: sim.Run(c, 512, 42), shots: 512}
+	f := &decoderFixture{c: c, model: model, res: sample(c, 512, 42), shots: 512}
 	dec, err := decoder.NewRestriction(model, css.Z, 1e-3, true, true)
 	if err != nil {
 		b.Fatal(err)

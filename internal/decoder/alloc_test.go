@@ -90,7 +90,7 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 	}
 	const shots = 128
 	model, c := planarModel(t, 5, 1e-3)
-	res := sim.Run(c, shots, 42)
+	res := sample(c, shots, 42)
 	plain, err := NewMWPM(model, css.Z, 1e-3, false)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 
 	fcode := hyper55(t)
 	fmodel, fc := buildModel(t, fcode, diffOptions, css.Z, 3, 1e-3)
-	fres := sim.Run(fc, shots, 43)
+	fres := sample(fc, shots, 43)
 	flagged, err := NewMWPM(fmodel, css.Z, 1e-3, true)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmodel, cc := buildModel(t, ccode, diffOptions, css.Z, 3, 1e-3)
-	cres := sim.Run(cc, shots, 44)
+	cres := sample(cc, shots, 44)
 	rest, err := NewRestriction(cmodel, css.Z, 1e-3, true, true)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestBatchDecodeSteadyStateZeroAlloc(t *testing.T) {
 	}
 	const shots = 256
 	model, c := planarModel(t, 5, 1e-3)
-	res := sim.Run(c, shots, 42)
+	res := sample(c, shots, 42)
 	plain, err := NewMWPM(model, css.Z, 1e-3, false)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestBatchDecodeSteadyStateZeroAlloc(t *testing.T) {
 
 	fcode := hyper55(t)
 	fmodel, fc := buildModel(t, fcode, diffOptions, css.Z, 3, 1e-3)
-	fres := sim.Run(fc, shots, 43)
+	fres := sample(fc, shots, 43)
 	flagged, err := NewMWPM(fmodel, css.Z, 1e-3, true)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestBatchDecodeSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmodel, cc := buildModel(t, ccode, diffOptions, css.Z, 3, 1e-3)
-	cres := sim.Run(cc, shots, 44)
+	cres := sample(cc, shots, 44)
 	rest, err := NewRestriction(cmodel, css.Z, 1e-3, true, true)
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ func TestBatchDifferentialDecode(t *testing.T) {
 					b := NewBatch(dd.fast)
 					for _, seed := range []int64{11, 22, 33} {
 						const shots = 200 // 3 full blocks + a 8-lane tail
-						res := sim.Run(c, shots, seed)
+						res := sample(c, shots, seed)
 						bsc := NewScratch()
 						label := fmt.Sprintf("%s basis=%v seed=%d", dd.name, basis, seed)
 						assertBatchMatchesScalar(t, b, bsc, res, label+" cold")
@@ -167,7 +167,7 @@ func TestBatchOwnerChangeResetsMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	bf, bp := NewBatch(flagged), NewBatch(plain)
-	res := sim.Run(c, 192, 5)
+	res := sample(c, 192, 5)
 	sc := NewScratch()
 	for pass := 0; pass < 2; pass++ {
 		assertBatchMatchesScalar(t, bf, sc, res, fmt.Sprintf("owner-flagged pass=%d", pass))
@@ -185,7 +185,7 @@ func TestBatchContractErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBatch(d)
-	res := sim.Run(c, 100, 1)
+	res := sample(c, 100, 1)
 	sc := NewScratch()
 	for _, bad := range []struct {
 		name     string
@@ -227,7 +227,7 @@ func TestBatchMemoPoisoningDetected(t *testing.T) {
 	}
 	b := NewBatch(d)
 	b.MemoFault = func(_ uint64, pred []uint64) { pred[0] ^= 1 }
-	res := sim.Run(c, 256, 9)
+	res := sample(c, 256, 9)
 	bsc, ssc := NewScratch(), NewScratch()
 	diverged := false
 	for first := 0; first < res.Shots; first += 64 {

@@ -37,7 +37,7 @@ func TestBPOSDVersusMWPMOnShots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := simRunHelper(t, c, 800, 31)
+	res := sample(c, 800, 31)
 	count := func(dec obsDecoder) int {
 		errs := 0
 		for shot := 0; shot < 800; shot++ {
@@ -95,7 +95,8 @@ func TestBPOSDDecodesHGP(t *testing.T) {
 	}
 }
 
-func simRunHelper(t *testing.T, c *circuit.Circuit, shots int, seed int64) *sim.Result {
-	t.Helper()
-	return sim.Run(c, shots, seed)
+// sample draws shots lanes of c from blocks 0, 1, … of a fresh
+// BlockSampler seeded with base seed.
+func sample(c *circuit.Circuit, shots int, seed int64) *sim.Result {
+	return sim.NewBlockSampler(c, (shots+63)/64).Run(0, shots, seed)
 }

@@ -17,7 +17,6 @@ import (
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/dem"
 	"github.com/fpn/flagproxy/internal/fpn"
-	"github.com/fpn/flagproxy/internal/sim"
 )
 
 // diffCase is one code under differential test; the per-build-mode case
@@ -144,7 +143,7 @@ func TestDifferentialDecode(t *testing.T) {
 				decs := diffDecoders(t, model, basis, cs.color)
 				for _, seed := range []int64{11, 22, 33} {
 					const shots = 32
-					res := sim.Run(c, shots, seed)
+					res := sample(c, shots, seed)
 					var lanes Defects
 					lanes.Extract(res, 0, shots)
 					for _, dd := range decs {

@@ -239,9 +239,7 @@ func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, fu
 		if err != nil {
 			return nil, err
 		}
-		if !cfg.ScalarDecode {
-			d = batchify(k, d)
-		}
+		d = batchify(k, d)
 		if cfg.WrapDecoder != nil {
 			d = cfg.WrapDecoder(k, d)
 		}

@@ -1,17 +1,28 @@
 package experiment
 
-// Engine-level batch/scalar differential: Config.ScalarDecode must be a
-// pure execution-strategy knob. For every decoder family the engine can
+// Engine-level batch/scalar differential: the batch path must be a
+// pure execution strategy. For every decoder family the engine can
 // batch, a full engine run — sharded workers, partial tail block, early
 // stopping — must commit bit-identical (Shots, Blocks, LogicalErrors)
-// either way, and the batch run must account for every decoded lane in
+// whether the pool gets the batch decoder or its bare scalar inner
+// decoder, and the batch run must account for every decoded lane in
 // its memo counters.
 
 import (
 	"testing"
 
 	"github.com/fpn/flagproxy/internal/css"
+	"github.com/fpn/flagproxy/internal/decoder"
 )
+
+// unbatch is a WrapDecoder that hands the pool the bare scratch decoder
+// a batch decoder wraps, so every shard takes the per-shot scalar loop.
+func unbatch(_ DecoderKind, d Decoder) Decoder {
+	if b, ok := d.(*decoder.Batch); ok {
+		return b.Inner().(Decoder)
+	}
+	return d
+}
 
 func TestEngineBatchScalarBitIdentity(t *testing.T) {
 	code := hyper55(t)
@@ -26,7 +37,7 @@ func TestEngineBatchScalarBitIdentity(t *testing.T) {
 	for _, kind := range []DecoderKind{FlaggedMWPM, PlainMWPM, FlaggedUnionFind, BPOSD} {
 		cfg := base
 		cfg.Decoder = kind
-		cfg.ScalarDecode = true
+		cfg.WrapDecoder = unbatch
 		scalar, err := pl.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -35,7 +46,7 @@ func TestEngineBatchScalarBitIdentity(t *testing.T) {
 			t.Errorf("%v: scalar run reports memo traffic (%d hits, %d misses)",
 				kind, scalar.MemoHits, scalar.MemoMisses)
 		}
-		cfg.ScalarDecode = false
+		cfg.WrapDecoder = nil
 		batch, err := pl.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +92,7 @@ func TestEngineBatchScalarEarlyStop(t *testing.T) {
 		Code: code, Basis: css.Z, P: 5e-3, Shots: 4000, Seed: 13,
 		Decoder: FlaggedMWPM, Workers: 4, ShardShots: 128, TargetErrors: 12,
 	}
-	cfg.ScalarDecode = true
+	cfg.WrapDecoder = unbatch
 	scalar, err := pl.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +100,7 @@ func TestEngineBatchScalarEarlyStop(t *testing.T) {
 	if !scalar.EarlyStopped {
 		t.Fatal("scalar run did not early-stop; the differential would be vacuous")
 	}
-	cfg.ScalarDecode = false
+	cfg.WrapDecoder = nil
 	batch, err := pl.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

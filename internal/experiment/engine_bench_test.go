@@ -63,13 +63,13 @@ func BenchmarkEngineWorkers2(b *testing.B) { benchmarkEngine(b, 2) }
 func BenchmarkEngineWorkers4(b *testing.B) { benchmarkEngine(b, 4) }
 
 // BenchmarkEngineLegacySingleBatch reproduces the seed's architecture:
-// one giant bit-packed sim.Run batch holding every shot's detector rows
+// one giant bit-packed sampling pass holding every shot's detector rows
 // in memory at once, decoded serially on one goroutine.
 func BenchmarkEngineLegacySingleBatch(b *testing.B) {
 	c, dec := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := sim.Run(c, benchShots, 1)
+		res := sim.NewBlockSampler(c, (benchShots+63)/64).Run(0, benchShots, 1)
 		errs := 0
 		var lanes decoder.Defects
 		for shot := 0; shot < benchShots; shot++ {

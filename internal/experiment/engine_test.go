@@ -228,3 +228,23 @@ func TestSweepCachesPipelines(t *testing.T) {
 		t.Fatalf("cached pipeline changed the result: %d vs %d", warm1.LogicalErrors, cold.LogicalErrors)
 	}
 }
+
+// At a physical rate near 1e-17 the sampler's geometric skip exceeds
+// every int. The run must still commit every shot, with no shard
+// quarantined for a wrapped lane index.
+func TestRunTinyPhysicalRate(t *testing.T) {
+	cfg := Config{
+		Code: rotatedCode(t, 3), Basis: css.Z, Rounds: 3, P: 1e-17,
+		Shots: 4096, Seed: 1, Decoder: PlainMWPM, Workers: 2,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ShardErrors) != 0 {
+		t.Fatalf("%d shard errors, first: %v", len(res.ShardErrors), res.ShardErrors[0].Error())
+	}
+	if res.Shots != cfg.Shots {
+		t.Fatalf("committed %d shots, want %d", res.Shots, cfg.Shots)
+	}
+}

@@ -124,13 +124,6 @@ type Config struct {
 	// API; production sweeps leave it nil.
 	//fpnvet:sched fault-injection seam for the chaos harness; production sweeps leave it nil
 	WrapDecoder func(kind DecoderKind, dec Decoder) Decoder
-	// ScalarDecode forces the per-shot scalar decode loop even for
-	// decoders with a batch path. The batch path is a pure execution
-	// strategy — bit-identical to scalar by construction — so this knob
-	// exists for differential tests and performance comparisons, not for
-	// changing results.
-	//fpnvet:sched batch/scalar selection is an execution strategy; counts are bit-identical (enforced by the engine differential tests)
-	ScalarDecode bool
 	// OnCommit, when non-nil, is invoked with a snapshot of the
 	// committed prefix each time the commit frontier advances. Every
 	// snapshot is block-aligned and therefore a valid Resume point —

@@ -62,7 +62,6 @@ type WireConfig struct {
 	FixedIdle    bool        `json:"fixed_idle,omitempty"`
 	TargetErrors int         `json:"target_errors,omitempty"`
 	MaxCI        float64     `json:"max_ci,omitempty"`
-	ScalarDecode bool        `json:"scalar_decode,omitempty"`
 	// CanonicalRotatedD, when > 0, says the run uses the canonical
 	// rotated-surface-code schedule of that distance (the only override
 	// schedule production sweeps use); 0 means the greedy scheduler.
@@ -84,7 +83,7 @@ func MarshalConfig(cfg experiment.Config) (*WireConfig, error) {
 		Arch: cfg.Arch, Basis: string(cfg.Basis), Rounds: cfg.Rounds,
 		P: cfg.P, Shots: cfg.Shots, Seed: cfg.Seed, Decoder: cfg.Decoder.String(),
 		CodeCapacity: cfg.CodeCapacity, FixedIdle: cfg.FixedIdle,
-		TargetErrors: cfg.TargetErrors, MaxCI: cfg.MaxCI, ScalarDecode: cfg.ScalarDecode,
+		TargetErrors: cfg.TargetErrors, MaxCI: cfg.MaxCI,
 	}
 	code := cfg.Code
 	w.Code = WireCode{
@@ -121,7 +120,7 @@ func (w *WireConfig) Config() (experiment.Config, error) {
 		Arch: w.Arch, Basis: css.Basis(w.Basis[0]), Rounds: w.Rounds,
 		P: w.P, Shots: w.Shots, Seed: w.Seed, Decoder: dec,
 		CodeCapacity: w.CodeCapacity, FixedIdle: w.FixedIdle,
-		TargetErrors: w.TargetErrors, MaxCI: w.MaxCI, ScalarDecode: w.ScalarDecode,
+		TargetErrors: w.TargetErrors, MaxCI: w.MaxCI,
 	}
 	if w.CanonicalRotatedD > 0 {
 		l, err := surface.Rotated(w.CanonicalRotatedD)

@@ -61,9 +61,9 @@ func TestSamplerDeterminism(t *testing.T) {
 	code := hyper55(t)
 	nmP := 2e-3
 	c := memoryCircuitNoisy(t, code, nmP)
-	r1 := Run(c, 256, 99)
-	r2 := Run(c, 256, 99)
-	r3 := Run(c, 256, 100)
+	r1 := sample(c, 256, 99)
+	r2 := sample(c, 256, 99)
+	r3 := sample(c, 256, 100)
 	same, diff := true, false
 	for d := range c.Detectors {
 		for w := range r1.Detectors[d] {

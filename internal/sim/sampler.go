@@ -8,59 +8,14 @@ import (
 	"github.com/fpn/flagproxy/internal/seedmix"
 )
 
-// Sampler runs one circuit many times while reusing every simulation
-// buffer, so a worker that samples shard after shard of a Monte-Carlo
-// run allocates nothing per shard. Construct one Sampler per goroutine;
-// a Sampler is not safe for concurrent use.
-type Sampler struct {
-	fs  *frameSim
-	max int
-	res Result
-}
-
-// NewSampler builds a reusable sampler for the circuit with capacity
-// for maxShots lanes per Run call.
-func NewSampler(c *circuit.Circuit, maxShots int) *Sampler {
-	return &Sampler{fs: newFrameSim(c, maxShots, 0), max: maxShots}
-}
-
-// Validate reports whether a Run call with this shot count would be
-// legal: shots must lie in (0, maxShots]. Callers that receive shot
-// counts from external input should Validate first — Run treats an
-// out-of-range count as a programming error and panics.
-func (s *Sampler) Validate(shots int) error {
-	if shots <= 0 || shots > s.max {
-		return fmt.Errorf("sim: Sampler shots %d outside (0, %d]", shots, s.max)
-	}
-	return nil
-}
-
-// Run samples the circuit with its annotated noise for shots lanes
-// using the given RNG seed. The stream is fully determined by (circuit,
-// shots, seed): reusing a Sampler yields bit-identical results to a
-// fresh one. The returned Result aliases the sampler's buffers and is
-// valid only until the next Run call. Run panics if shots is out of
-// range; use Validate to check untrusted counts.
-func (s *Sampler) Run(shots int, seed int64) *Result {
-	if err := s.Validate(shots); err != nil {
-		panic(err)
-	}
-	s.fs.reset(shots, seed)
-	for oi, op := range s.fs.c.Ops {
-		s.fs.apply(oi, op, true, nil)
-	}
-	s.fs.resultInto(&s.res)
-	return &s.res
-}
-
 // BlockSampler samples a circuit in multi-block passes where every
 // 64-shot block (one bit-packed word) consumes its own RNG stream
 // seeded seedmix.Derive(base, blockIndex). A block's outcome therefore
 // depends only on (circuit, base, blockIndex) — never on how blocks are
 // grouped into passes — which is what lets a sharded Monte-Carlo run
 // batch an entire shard per pass while staying bit-identical for any
-// shard size. A single-block pass reproduces Sampler.Run(64,
-// Derive(base, blockIndex)) exactly. Not safe for concurrent use.
+// shard size. Reusing a BlockSampler yields the same bits as a fresh
+// one. Construct one per goroutine; it is not safe for concurrent use.
 type BlockSampler struct {
 	fs  *frameSim
 	max int // capacity in blocks
@@ -70,12 +25,10 @@ type BlockSampler struct {
 // NewBlockSampler builds a reusable block-mode sampler with capacity
 // for maxBlocks 64-shot blocks per Run call.
 func NewBlockSampler(c *circuit.Circuit, maxBlocks int) *BlockSampler {
-	fs := newFrameSim(c, maxBlocks*64, 0)
-	fs.wordSrcs = make([]rand.Source, maxBlocks)
+	fs := newFrameSim(c, maxBlocks*64)
 	fs.wordRngs = make([]*rand.Rand, maxBlocks)
-	for i := range fs.wordSrcs {
-		fs.wordSrcs[i] = rand.NewSource(0)
-		fs.wordRngs[i] = rand.New(fs.wordSrcs[i])
+	for i := range fs.wordRngs {
+		fs.wordRngs[i] = rand.New(rand.NewSource(0))
 	}
 	return &BlockSampler{fs: fs, max: maxBlocks}
 }
@@ -104,9 +57,9 @@ func (s *BlockSampler) Run(firstBlock, shots int, base int64) *Result {
 	if err := s.Validate(firstBlock, shots); err != nil {
 		panic(err)
 	}
-	s.fs.reset(shots, 0)
+	s.fs.reset(shots)
 	for wi := 0; wi < s.fs.words; wi++ {
-		s.fs.wordSrcs[wi].Seed(seedmix.Derive(base, uint64(firstBlock+wi)))
+		s.fs.wordRngs[wi].Seed(seedmix.Derive(base, uint64(firstBlock+wi)))
 	}
 	for oi, op := range s.fs.c.Ops {
 		s.fs.apply(oi, op, true, nil)

@@ -1,27 +1,27 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/fpn"
-	"github.com/fpn/flagproxy/internal/seedmix"
 )
 
-// A reused Sampler must be bit-identical to a fresh one: same circuit,
-// shots and seed give the same detector words, no matter what ran on
-// the buffers before.
+// A reused BlockSampler must be bit-identical to a fresh one: same
+// circuit, block range and seed give the same detector words, no matter
+// what ran on the buffers before.
 func TestSamplerReuseReproducible(t *testing.T) {
 	code := steane(t)
 	c := memoryCircuitWithNoise(t, code, fpn.Options{UseFlags: true}, css.Z, 3, 0.01)
-	fresh := NewSampler(c, 64)
-	first := snapshot(fresh.Run(64, 5))
+	fresh := NewBlockSampler(c, 1)
+	first := snapshot(fresh.Run(0, 64, 5))
 
-	reused := NewSampler(c, 64)
-	reused.Run(64, 99) // dirty the buffers with a different stream
-	reused.Run(17, 3)  // and with a partial block
-	again := snapshot(reused.Run(64, 5))
+	reused := NewBlockSampler(c, 1)
+	reused.Run(0, 64, 99) // dirty the buffers with a different stream
+	reused.Run(0, 17, 3)  // and with a partial block
+	again := snapshot(reused.Run(0, 64, 5))
 
 	if len(first) != len(again) {
 		t.Fatalf("detector row count changed: %d vs %d", len(first), len(again))
@@ -35,31 +35,12 @@ func TestSamplerReuseReproducible(t *testing.T) {
 	}
 }
 
-// Sampler runs must match the one-shot Run entry point for a full
-// block: both seed a fresh stream the same way.
-func TestSamplerMatchesRun(t *testing.T) {
-	code := steane(t)
-	c := memoryCircuitWithNoise(t, code, fpn.Options{}, css.Z, 2, 0.02)
-	want := Run(c, 64, 9)
-	got := NewSampler(c, 64).Run(64, 9)
-	for d := range want.Detectors {
-		if want.Detectors[d][0] != got.Detectors[d][0] {
-			t.Fatalf("detector %d differs between Run and Sampler", d)
-		}
-	}
-	for o := range want.Observables {
-		if want.Observables[o][0] != got.Observables[o][0] {
-			t.Fatalf("observable %d differs between Run and Sampler", o)
-		}
-	}
-}
-
 // Partial blocks must confine noise to the active lanes.
 func TestSamplerPartialBlockLanes(t *testing.T) {
 	c := &circuit.Circuit{NumQubits: 1}
 	c.AddOp(circuit.Op{Kind: circuit.OpM, Qubits: []int{0}, FlipProb: 1})
 	c.Detectors = append(c.Detectors, circuit.Detector{Meas: []int{0}})
-	res := NewSampler(c, 64).Run(20, 1)
+	res := NewBlockSampler(c, 1).Run(0, 20, 1)
 	if res.Shots != 20 {
 		t.Fatalf("Shots = %d, want 20", res.Shots)
 	}
@@ -76,8 +57,7 @@ func TestSamplerPartialBlockLanes(t *testing.T) {
 // The block-mode contract: a block's outcome must not depend on how
 // blocks are grouped into passes. Sixteen blocks sampled in one pass,
 // in four 4-block passes, and in sixteen single-block passes must agree
-// word for word — and the single-block pass must equal a classic
-// Sampler run seeded with the block's derived seed.
+// word for word.
 func TestBlockSamplerGroupingInvariance(t *testing.T) {
 	code := steane(t)
 	c := memoryCircuitWithNoise(t, code, fpn.Options{UseFlags: true}, css.Z, 3, 0.01)
@@ -99,16 +79,11 @@ func TestBlockSamplerGroupingInvariance(t *testing.T) {
 			}
 		}
 	}
-	smp := NewSampler(c, 64)
 	for b := 0; b < blocks; b++ {
 		single := singles.Run(b, 64, base)
-		classic := smp.Run(64, seedmix.Derive(base, uint64(b)))
 		for d := range whole {
 			if single.Detectors[d][0] != whole[d][b] {
 				t.Fatalf("single-block pass %d: detector %d differs from the 16-block pass", b, d)
-			}
-			if classic.Detectors[d][0] != whole[d][b] {
-				t.Fatalf("block %d detector %d: classic Sampler with the derived seed differs from block mode", b, d)
 			}
 		}
 	}
@@ -137,30 +112,6 @@ func snapshot(r *Result) [][]uint64 {
 		out[d] = append([]uint64(nil), r.Detectors[d]...)
 	}
 	return out
-}
-
-// Validate must accept exactly the (0, max] shot range and reject the
-// boundary violations on either side, for both sampler flavours.
-func TestSamplerValidateBoundaries(t *testing.T) {
-	code := steane(t)
-	c := memoryCircuitWithNoise(t, code, fpn.Options{}, css.Z, 2, 0.01)
-	s := NewSampler(c, 128)
-	for _, tc := range []struct {
-		name  string
-		shots int
-		ok    bool
-	}{
-		{"zero", 0, false},
-		{"negative", -1, false},
-		{"one", 1, true},
-		{"max", 128, true},
-		{"max-plus-one", 129, false},
-	} {
-		err := s.Validate(tc.shots)
-		if (err == nil) != tc.ok {
-			t.Errorf("Sampler.Validate(%s=%d): err=%v, want ok=%v", tc.name, tc.shots, err, tc.ok)
-		}
-	}
 }
 
 func TestBlockSamplerValidateBoundaries(t *testing.T) {
@@ -194,11 +145,28 @@ func TestBlockSamplerValidateBoundaries(t *testing.T) {
 func TestSamplerRunPanicsOutOfRange(t *testing.T) {
 	code := steane(t)
 	c := memoryCircuitWithNoise(t, code, fpn.Options{}, css.Z, 2, 0.01)
-	s := NewSampler(c, 64)
+	s := NewBlockSampler(c, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Run(65) on a 64-lane sampler did not panic")
+			t.Fatal("Run(0, 65) on a one-block sampler did not panic")
 		}
 	}()
-	s.Run(65, 1)
+	s.Run(0, 65, 1)
+}
+
+// At a tiny flip probability the geometric skip exceeds every int. The
+// sampler must neither panic on a wrapped lane index nor hit a lane.
+func TestTinyProbabilityNoHits(t *testing.T) {
+	for _, p := range []float64{1e-19, 1e-300, math.SmallestNonzeroFloat64} {
+		c := &circuit.Circuit{NumQubits: 1}
+		c.AddOp(circuit.Op{Kind: circuit.OpXFlip, Qubits: []int{0}, P: p})
+		c.AddOp(circuit.Op{Kind: circuit.OpM, Qubits: []int{0}})
+		c.Detectors = append(c.Detectors, circuit.Detector{Meas: []int{0}})
+		res := sample(c, 64*64, 1)
+		for w, word := range res.Detectors[0][:res.Words] {
+			if word != 0 {
+				t.Fatalf("p=%g: word %d has hits %#x", p, w, word)
+			}
+		}
+	}
 }

@@ -2,9 +2,10 @@
 // propagates X/Z error frames through Clifford circuits with 64 shots
 // bit-packed per machine word, samples the paper's noise channels with
 // geometric skip-sampling, and reads out detector and observable flips.
-// A deterministic injection mode plants chosen faults in chosen lanes;
-// package dem's tests use it as the forward reference for the
-// detector-error-model extraction.
+// Sampling runs through BlockSampler, which gives every 64-shot word
+// its own RNG stream. A deterministic injection mode plants chosen
+// faults in chosen lanes; package dem's tests use it as the forward
+// reference for the detector-error-model extraction.
 package sim
 
 import (
@@ -29,7 +30,6 @@ type Result struct {
 	Words       int
 	Detectors   [][]uint64 // [detector][word]
 	Observables [][]uint64
-	MeasFlips   [][]uint64 // [measurement][word]
 }
 
 // DetectorBit reports whether detector d fired in shot s. Shot indexes
@@ -86,36 +86,22 @@ type frameSim struct {
 	shots    int
 	fx, fz   [][]uint64
 	meas     [][]uint64
-	src      rand.Source
-	rng      *rand.Rand
 
-	// Block mode (BlockSampler): every 64-shot word consumes its own
-	// RNG stream so a block's outcome is independent of how blocks are
-	// batched into passes. nil in classic whole-run mode.
-	wordSrcs []rand.Source
+	// wordRngs gives every 64-shot word its own RNG stream, so a
+	// block's outcome is independent of how blocks are batched into
+	// passes. nil in RunDeterministic, which draws nothing.
 	wordRngs []*rand.Rand
-	// cur is the stream noise channels must draw from: the run-wide rng
-	// in classic mode, the active word's rng in block mode.
+	// cur is the active word's stream, the one noise channels draw from.
 	cur *rand.Rand
 
 	measBases []int // lazily computed first-measurement index per op
-}
-
-// Run samples the circuit with its annotated noise for the given number
-// of shots.
-func Run(c *circuit.Circuit, shots int, seed int64) *Result {
-	fs := newFrameSim(c, shots, seed)
-	for oi, op := range c.Ops {
-		fs.apply(oi, op, true, nil)
-	}
-	return fs.result()
 }
 
 // RunDeterministic executes the circuit with all noise channels disabled
 // and the given faults injected; lane l of the result reflects exactly
 // the faults with Lane == l.
 func RunDeterministic(c *circuit.Circuit, shots int, inj []Injection) *Result {
-	fs := newFrameSim(c, shots, 0)
+	fs := newFrameSim(c, shots)
 	byOp := map[int][]Injection{}
 	var measFlips []Injection
 	for _, in := range inj {
@@ -134,11 +120,9 @@ func RunDeterministic(c *circuit.Circuit, shots int, inj []Injection) *Result {
 	return fs.result()
 }
 
-func newFrameSim(c *circuit.Circuit, shots int, seed int64) *frameSim {
+func newFrameSim(c *circuit.Circuit, shots int) *frameSim {
 	words := (shots + 63) / 64
-	src := rand.NewSource(seed)
-	fs := &frameSim{c: c, words: words, capWords: words, shots: shots, src: src, rng: rand.New(src)}
-	fs.cur = fs.rng
+	fs := &frameSim{c: c, words: words, capWords: words, shots: shots}
 	fs.fx = make([][]uint64, c.NumQubits)
 	fs.fz = make([][]uint64, c.NumQubits)
 	for q := range fs.fx {
@@ -153,15 +137,14 @@ func newFrameSim(c *circuit.Circuit, shots int, seed int64) *frameSim {
 }
 
 // reset rewinds the simulator for a fresh run of shots lanes (at most
-// the allocated capacity) with a new RNG seed, reusing every buffer.
-func (fs *frameSim) reset(shots int, seed int64) {
+// the allocated capacity), reusing every buffer.
+func (fs *frameSim) reset(shots int) {
 	fs.shots = shots
 	fs.words = (shots + 63) / 64
 	for q := range fs.fx {
 		clear(fs.fx[q])
 		clear(fs.fz[q])
 	}
-	fs.src.Seed(seed)
 }
 
 func (fs *frameSim) result() *Result {
@@ -171,12 +154,10 @@ func (fs *frameSim) result() *Result {
 }
 
 // resultInto accumulates detector and observable rows into r, reusing
-// r's buffers when it has been filled by this frameSim before. The
-// result aliases fs.meas.
+// r's buffers when it has been filled by this frameSim before.
 func (fs *frameSim) resultInto(r *Result) {
 	r.Shots = fs.shots
 	r.Words = fs.words
-	r.MeasFlips = fs.meas
 	if r.Detectors == nil {
 		r.Detectors = make([][]uint64, len(fs.c.Detectors))
 		for d := range r.Detectors {
@@ -234,58 +215,39 @@ func (fs *frameSim) resultInto(r *Result) {
 
 // forEachLane visits lanes selected i.i.d. with probability p, using
 // geometric skip-sampling so the cost is proportional to the number of
-// hits rather than the number of shots. In block mode every 64-lane
-// word is scanned with its own RNG stream.
+// hits rather than the number of shots. Every 64-lane word is scanned
+// with its own RNG stream.
 func (fs *frameSim) forEachLane(p float64, f func(lane int)) {
 	if p <= 0 {
-		return
-	}
-	if fs.wordRngs == nil {
-		if p >= 1 {
-			for l := 0; l < fs.shots; l++ {
-				f(l)
-			}
-			return
-		}
-		geomScan(fs.rng, math.Log1p(-p), 0, fs.shots, f)
-		return
-	}
-	if p >= 1 {
-		for wi := 0; wi < fs.words; wi++ {
-			fs.cur = fs.wordRngs[wi]
-			hi := wi*64 + 64
-			if hi > fs.shots {
-				hi = fs.shots
-			}
-			for l := wi * 64; l < hi; l++ {
-				f(l)
-			}
-		}
 		return
 	}
 	logq := math.Log1p(-p)
 	for wi := 0; wi < fs.words; wi++ {
 		lo := wi * 64
-		hi := lo + 64
-		if hi > fs.shots {
-			hi = fs.shots
-		}
+		hi := min(lo+64, fs.shots)
 		fs.cur = fs.wordRngs[wi]
+		if p >= 1 {
+			for l := lo; l < hi; l++ {
+				f(l)
+			}
+			continue
+		}
 		geomScan(fs.cur, logq, lo, hi, f)
 	}
 }
 
 // geomScan visits lanes of [lo, hi) selected i.i.d. with hit
-// probability p = 1 - exp(logq) by geometric skip-sampling on rng.
+// probability p = 1 - exp(logq) by geometric skip-sampling on rng. The
+// skip is compared with the lanes left before it is converted: at tiny
+// p it can exceed every int, and the conversion would wrap negative.
 func geomScan(rng *rand.Rand, logq float64, lo, hi int, f func(lane int)) {
 	l := lo
 	for {
-		u := rng.Float64()
-		skip := int(math.Log(1-u) / logq)
-		l += skip
-		if l >= hi {
+		skip := math.Log(1-rng.Float64()) / logq
+		if skip >= float64(hi-l) {
 			return
 		}
+		l += int(skip)
 		f(l)
 		l++
 	}

@@ -54,6 +54,12 @@ func hyper55(t *testing.T) *css.Code {
 	return nil
 }
 
+// sample draws shots lanes of c from blocks 0, 1, … of a fresh
+// BlockSampler seeded with base seed.
+func sample(c *circuit.Circuit, shots int, seed int64) *Result {
+	return NewBlockSampler(c, (shots+63)/64).Run(0, shots, seed)
+}
+
 func memoryCircuitWithNoise(t *testing.T, code *css.Code, opt fpn.Options, basis css.Basis, rounds int, p float64) *circuit.Circuit {
 	t.Helper()
 	return memoryCircuit(t, code, opt, basis, rounds, &noise.Model{P: p})
@@ -101,7 +107,7 @@ func TestNoiselessDeterministic(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := memoryCircuit(t, tc.code, tc.opt, tc.basis, 3, nil)
-			res := Run(c, 64, 1)
+			res := sample(c, 64, 1)
 			for d := range c.Detectors {
 				for w := range res.Detectors[d] {
 					if res.Detectors[d][w] != 0 {
@@ -217,7 +223,7 @@ func TestNoiseStatisticsMeasFlip(t *testing.T) {
 	c.AddOp(circuit.Op{Kind: circuit.OpM, Qubits: []int{0}, FlipProb: 0.25})
 	c.Detectors = append(c.Detectors, circuit.Detector{Meas: []int{0}})
 	shots := 64000
-	res := Run(c, shots, 7)
+	res := sample(c, shots, 7)
 	count := 0
 	for s := 0; s < shots; s++ {
 		if res.DetectorBit(0, s) {
@@ -237,7 +243,7 @@ func TestDepolarize1Statistics(t *testing.T) {
 	c.AddOp(circuit.Op{Kind: circuit.OpM, Qubits: []int{0}})
 	c.Detectors = append(c.Detectors, circuit.Detector{Meas: []int{0}})
 	shots := 64000
-	res := Run(c, shots, 11)
+	res := sample(c, shots, 11)
 	count := 0
 	for s := 0; s < shots; s++ {
 		if res.DetectorBit(0, s) {

@@ -46,8 +46,8 @@ func TestResultCleanPastShotsAfterShrink(t *testing.T) {
 	// run carries set bits — the garbage the shrink must erase.
 	c := memoryCircuitWithNoise(t, code, fpn.Options{UseFlags: true, MaxDegree: 4}, 'Z', 3, 0.2)
 
-	s := NewSampler(c, 256)
-	big := s.Run(256, 7)
+	bs := NewBlockSampler(c, 4)
+	big := bs.Run(0, 256, 7)
 	set := 0
 	for _, row := range big.Detectors {
 		for _, w := range row {
@@ -59,13 +59,7 @@ func TestResultCleanPastShotsAfterShrink(t *testing.T) {
 	if set == 0 {
 		t.Fatal("large run produced no detector bits; the shrink check would be vacuous")
 	}
-	for _, shots := range []int{100, 64, 1} {
-		assertCleanPastShots(t, s.Run(shots, 8), "Sampler shrink")
-	}
-
-	bs := NewBlockSampler(c, 4)
-	bs.Run(0, 256, 7)
-	for _, shots := range []int{100, 64, 33} {
+	for _, shots := range []int{100, 64, 33, 1} {
 		assertCleanPastShots(t, bs.Run(1, shots, 9), "BlockSampler shrink")
 	}
 }
@@ -76,7 +70,7 @@ func TestResultCleanPastShotsAfterShrink(t *testing.T) {
 func TestResultBitAccessorsPanicPastShots(t *testing.T) {
 	code := steane(t)
 	c := memoryCircuit(t, code, fpn.Options{UseFlags: true, MaxDegree: 4}, 'Z', 2, &noise.Model{P: 1e-3})
-	res := Run(c, 100, 3)
+	res := sample(c, 100, 3)
 
 	wantPanic := func(name string, f func()) {
 		t.Helper()
