@@ -107,12 +107,12 @@ func (d *CorruptingDecoder) Decode(defects []int32) ([]bool, error) {
 // Flips reports how many decode calls were served a corrupted syndrome.
 func (d *CorruptingDecoder) Flips() int64 { return d.flips.Load() }
 
-// MemoPoisoner corrupts the batch decode path's syndrome memo through
-// the decoder.Batch MemoFault seam: one in Every memo stores — chosen
-// deterministically by the entry's key hash, so every store of the same
-// syndrome is poisoned identically and the run's outputs stay
-// bit-identical for any worker count — has observable 0 of its cached
-// prediction flipped. A poisoned memo silently mis-predicts repeated
+// MemoPoisoner corrupts the batch decode path's direct-mapped syndrome
+// memo through the decoder.Batch MemoFault seam: one in Every memo
+// stores, the empty syndrome's included — chosen deterministically by
+// the entry's key hash, so every store of the same syndrome is poisoned
+// identically and the run's outputs stay bit-identical for any worker
+// count — has observable 0 of its cached prediction flipped. A poisoned memo silently mis-predicts repeated
 // syndromes, the exact failure the batch-vs-scalar differential tests
 // exist to catch; the chaos suite uses this to prove they do.
 type MemoPoisoner struct {

@@ -196,7 +196,7 @@ func allocsPerBatch(t *testing.T, b *Batch, res *sim.Result) []float64 {
 
 // TestBatchDecodeSteadyStateZeroAlloc gates the 64-shot batch path the
 // same way as the scalar hot path: once the memo arena and scratch are
-// warm, decoding a block — memo hits, LRU churn, scalar fallbacks on
+// warm, decoding a block — memo hits, slot overwrites, scalar fallbacks on
 // cold keys included — must not touch the heap for the matching-family
 // decoders.
 func TestBatchDecodeSteadyStateZeroAlloc(t *testing.T) {

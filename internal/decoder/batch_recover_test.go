@@ -4,7 +4,7 @@ package decoder
 // out of the MemoFault chaos seam while a freshly decoded lane is being
 // memoized ("memo-warm") must surface as a counted decode error for
 // that lane alone — never as a DecodeBatch contract error, a process
-// panic, or a poisoned LRU entry that replays a half-corrupted
+// panic, or a poisoned memo entry that replays a half-corrupted
 // prediction on the next identical syndrome.
 
 import (
@@ -13,14 +13,14 @@ import (
 	"github.com/fpn/flagproxy/internal/css"
 )
 
-// TestMemoFaultPanicCountsLaneKeepsLRUClean injects a MemoFault that
+// TestMemoFaultPanicCountsLaneKeepsMemoClean injects a MemoFault that
 // corrupts the cached prediction and then panics mid-store. The faulted
-// lanes must count as decode errors, and the half-written entry must be
-// evicted: with the fault removed, the same scratch must re-miss, redo
-// the store, and agree with the scalar reference bit for bit — a
-// surviving poisoned entry would replay the corrupted prediction and
-// diverge.
-func TestMemoFaultPanicCountsLaneKeepsLRUClean(t *testing.T) {
+// lanes must count as decode errors, and the half-written entry must
+// never become valid: with the fault removed, the same scratch must
+// re-miss, redo the store, and agree with the scalar reference bit for
+// bit — a surviving poisoned entry would replay the corrupted
+// prediction and diverge.
+func TestMemoFaultPanicCountsLaneKeepsMemoClean(t *testing.T) {
 	model, _ := planarModel(t, 3, 1e-3)
 	d, err := NewMWPM(model, css.Z, 1e-3, true)
 	if err != nil {
@@ -40,7 +40,7 @@ func TestMemoFaultPanicCountsLaneKeepsLRUClean(t *testing.T) {
 	faults := 0
 	b.MemoFault = func(h uint64, pred []uint64) {
 		if h == emptyKey {
-			return // let the empty-lane cache build; this test targets the keyed store
+			return // let the empty key's entry build; this test targets the others
 		}
 		faults++
 		pred[0] ^= 1 // half-finished corruption a surviving entry would replay
@@ -55,9 +55,9 @@ func TestMemoFaultPanicCountsLaneKeepsLRUClean(t *testing.T) {
 		t.Fatalf("faulted block counted %d errors, want 2 (both stores panicked)", got)
 	}
 	// Lane 1 repeats lane 0's syndrome: if the panicked store had left
-	// its entry behind, lane 1 would have hit it instead of re-missing.
+	// its entry valid, lane 1 would have hit it instead of re-missing.
 	if faults != 2 {
-		t.Fatalf("MemoFault fired %d times, want 2 (lane 1 must re-miss after lane 0's store was evicted)", faults)
+		t.Fatalf("MemoFault fired %d times, want 2 (lane 1 must re-miss after lane 0's store panicked)", faults)
 	}
 	// Fault removed, same scratch: the memo must be rebuilt from scratch
 	// and every count must match the scalar loop. A poisoned entry (the
@@ -76,10 +76,10 @@ func TestMemoFaultPanicCountsLaneKeepsLRUClean(t *testing.T) {
 }
 
 // TestMemoFaultPanicOnEmptyLaneCache drives the panic through the
-// empty-lane cache build: the whole all-zero block must count as failed
-// decodes (matching the scalar convention that a decode error is a
-// logical error), the cache must stay invalid, and a later fault-free
-// call must rebuild it and decode cleanly.
+// store of the empty key's entry: the whole all-zero block must count
+// as failed decodes (matching the scalar convention that a decode error
+// is a logical error), the entry must stay invalid, and a later
+// fault-free call must rebuild it and decode cleanly.
 func TestMemoFaultPanicOnEmptyLaneCache(t *testing.T) {
 	model, _ := planarModel(t, 3, 1e-3)
 	d, err := NewMWPM(model, css.Z, 1e-3, true)

@@ -3,12 +3,13 @@ package decoder
 // Batch differential harness: DecodeBatch must be bit-identical to the
 // scalar per-shot loop — same per-block logical-error counts, with
 // decode failures counted the same way — across the case catalog, on
-// cold and memo-warm passes, through LRU eviction, across owner
+// cold and memo-warm passes, through memo slot collisions, across owner
 // changes, and on partial tail blocks. A deliberately poisoned memo
 // must be caught by the same comparison, proving the harness has teeth.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,11 +120,22 @@ func syntheticResult(numDet, numObs, shots int, fill func(shot int, set func(det
 	return res
 }
 
-// TestBatchMemoEviction pushes far more distinct syndromes through the
-// memo than it can hold, so the LRU evicts continuously — every count
-// must still match the scalar loop, on the first pass and on a second
-// pass that re-walks the (by now partially evicted) stream.
-func TestBatchMemoEviction(t *testing.T) {
+// countingDecoder counts the inner decodes a Batch asks of it.
+type countingDecoder struct {
+	ScratchDecoder
+	calls int
+}
+
+func (c *countingDecoder) DecodeWith(sc *DecodeScratch, defects []int32) ([]bool, error) {
+	c.calls++
+	return c.ScratchDecoder.DecodeWith(sc, defects)
+}
+
+// TestBatchMemoSlotCollision alternates two distinct syndromes that
+// share one memo slot lane by lane, so every store overwrites the other
+// key's entry. Every lane must miss — the inner decoder is called once
+// per lane — and every count must still match the scalar loop.
+func TestBatchMemoSlotCollision(t *testing.T) {
 	model, _ := planarModel(t, 3, 1e-3)
 	d, err := NewMWPM(model, css.Z, 1e-3, true)
 	if err != nil {
@@ -131,25 +143,116 @@ func TestBatchMemoEviction(t *testing.T) {
 	}
 	numDet := len(model.Circuit.Detectors)
 	numObs := len(model.Circuit.Observables)
-	if numDet < 40 {
-		t.Fatalf("planar model has only %d detectors; cannot build distinct pairs", numDet)
-	}
-	// Distinct weight-2 syndromes: shot s fires detectors (a, b) walking
-	// a stride pattern, giving well over memoEntries unique keys.
-	shots := (memoEntries + 128) / 64 * 64 // full blocks, > memoEntries lanes
-	res := syntheticResult(numDet, numObs, shots, func(s int, set func(int)) {
-		a := s % numDet
-		b := (s*7 + 1 + s/numDet) % numDet
-		if a == b {
-			b = (b + 1) % numDet
+	// The first two weight-2 syndromes whose hashes land in one slot.
+	var keys [][]int32
+	seen := map[uint64][]int32{}
+search:
+	for a := int32(0); a < int32(numDet); a++ {
+		for b := a + 1; b < int32(numDet); b++ {
+			key := []int32{a, b}
+			s := keyHash(key) & (memoSlots - 1)
+			if other, ok := seen[s]; ok {
+				keys = [][]int32{other, key}
+				break search
+			}
+			seen[s] = key
 		}
-		set(a)
-		set(b)
+	}
+	if keys == nil {
+		t.Fatalf("no two weight-2 syndromes of %d detectors share a memo slot", numDet)
+	}
+	const shots = 256
+	res := syntheticResult(numDet, numObs, shots, func(s int, set func(int)) {
+		for _, det := range keys[s%2] {
+			set(int(det))
+		}
 	})
-	b := NewBatch(d)
-	bsc := NewScratch()
-	assertBatchMatchesScalar(t, b, bsc, res, "eviction cold")
-	assertBatchMatchesScalar(t, b, bsc, res, "eviction repeat")
+	cd := &countingDecoder{ScratchDecoder: d}
+	b := NewBatch(cd)
+	bsc, ssc := NewScratch(), NewScratch()
+	for pass := 0; pass < 2; pass++ {
+		for first := 0; first < shots; first += 64 {
+			calls := cd.calls
+			got, err := b.DecodeBatch(res, first, 64, bsc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cd.calls-calls != 64 {
+				t.Fatalf("pass %d block %d: %d inner decodes for 64 colliding lanes, want 64", pass, first/64, cd.calls-calls)
+			}
+			if want := scalarBlockErrs(t, d, ssc, res, first, 64); got != want {
+				t.Fatalf("pass %d block %d: batch counted %d errors, scalar %d", pass, first/64, got, want)
+			}
+		}
+	}
+	if hits, misses := bsc.MemoStats(); hits != 0 || misses != 2*shots {
+		t.Fatalf("memo counted %d hits, %d misses; want 0, %d", hits, misses, 2*shots)
+	}
+}
+
+// TestBatchMemoMissesMatchModel pins the number the decode gate reads:
+// on fixed BlockSampler streams, the inner decodes a Batch makes equal
+// its MemoStats misses, and both equal a map-based model of the
+// direct-mapped policy — one slot per key hash, a store overwrites, an
+// all-zero block reads the empty key once, and keys longer than
+// memoMaxKey always decode.
+func TestBatchMemoMissesMatchModel(t *testing.T) {
+	for _, tc := range []struct {
+		rounds int
+		p      float64
+	}{{3, 1e-3}, {5, 5e-3}} {
+		model, c := planarModel(t, tc.rounds, tc.p)
+		d, err := NewMWPM(model, css.Z, tc.p, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const shots = 4096
+		res := sample(c, shots, 17)
+		cd := &countingDecoder{ScratchDecoder: d}
+		b := NewBatch(cd)
+		sc := NewScratch()
+
+		held := map[uint64][]int32{} // slot -> the key it holds
+		want, long := 0, 0
+		visit := func(key []int32) {
+			if len(key) > memoMaxKey {
+				want++
+				long++
+				return
+			}
+			s := keyHash(key) & (memoSlots - 1)
+			if k, ok := held[s]; ok && slices.Equal(k, key) {
+				return
+			}
+			want++
+			held[s] = slices.Clone(key)
+		}
+		var lanes Defects
+		for first := 0; first < shots; first += 64 {
+			if _, err := b.DecodeBatch(res, first, 64, sc); err != nil {
+				t.Fatal(err)
+			}
+			if lanes.Extract(res, first, 64) == 0 {
+				visit(nil)
+				continue
+			}
+			for l := 0; l < 64; l++ {
+				visit(lanes.Lane(l))
+			}
+		}
+		hits, misses := sc.MemoStats()
+		label := fmt.Sprintf("rounds=%d p=%g", tc.rounds, tc.p)
+		if cd.calls != int(misses) || int(misses) != want {
+			t.Fatalf("%s: %d inner decodes, %d memo misses, model %d", label, cd.calls, misses, want)
+		}
+		if hits+misses != shots {
+			t.Fatalf("%s: memo counters cover %d+%d lanes, want %d", label, hits, misses, shots)
+		}
+		if hits == 0 || want == long {
+			t.Fatalf("%s: stream exercises no memo traffic (%d hits, %d long keys)", label, hits, long)
+		}
+		t.Logf("%s: %d misses of %d lanes (%d past the key bound)", label, misses, shots, long)
+	}
 }
 
 // TestBatchOwnerChangeResetsMemo alternates one scratch between two
