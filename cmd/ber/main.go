@@ -365,9 +365,9 @@ func parseArgs(args []string) (*cliConfig, error) {
 	var fallback []experiment.DecoderKind
 	if *fallbackFlag != "" {
 		for _, s := range strings.Split(*fallbackFlag, ",") {
-			k, err := decoderKindByName(strings.TrimSpace(s))
+			k, err := experiment.ParseDecoderKind(strings.TrimSpace(s))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("-fallback: %w", err)
 			}
 			fallback = append(fallback, k)
 		}
@@ -478,17 +478,6 @@ func recordSchedKnobs(store *checkpoint.Store, sig string, w io.Writer) {
 	if err := store.SetMeta(schedMetaKey, sig); err != nil {
 		fmt.Fprintln(w, "ber: recording scheduling knobs in the checkpoint failed:", err)
 	}
-}
-
-// decoderKindByName resolves a -fallback entry against the canonical
-// DecoderKind names (the same strings the result lines print).
-func decoderKindByName(name string) (experiment.DecoderKind, error) {
-	for k := experiment.FlaggedMWPM; k <= experiment.BPOSD; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown decoder kind %q in -fallback (want one of flagged-mwpm, plain-mwpm, flagged-restriction, baseline-restriction, flagged-unionfind, bp-osd)", name)
 }
 
 var fpnArch = fpn.Options{UseFlags: true, FlagSharing: true, MaxDegree: 4}

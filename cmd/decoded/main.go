@@ -36,7 +36,6 @@ import (
 
 	"github.com/fpn/flagproxy/internal/chaos"
 	"github.com/fpn/flagproxy/internal/checkpoint"
-	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/decoder"
 	"github.com/fpn/flagproxy/internal/experiment"
@@ -146,16 +145,16 @@ func parseArgs(args []string) (*cliConfig, error) {
 	default:
 		return nil, fmt.Errorf("-basis must be X or Z (got %q)", *basisFlag)
 	}
-	dec, err := decoderKindByName(*decFlag)
+	dec, err := experiment.ParseDecoderKind(*decFlag)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-decoder: %w", err)
 	}
 	var fallback []experiment.DecoderKind
 	if *fallbackFlag != "" {
 		for _, s := range strings.Split(*fallbackFlag, ",") {
-			k, err := decoderKindByName(strings.TrimSpace(s))
+			k, err := experiment.ParseDecoderKind(strings.TrimSpace(s))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("-fallback: %w", err)
 			}
 			fallback = append(fallback, k)
 		}
@@ -196,17 +195,6 @@ func parseArgs(args []string) (*cliConfig, error) {
 		connectURL: *connect, shots: *shots, verify: *verify,
 		chaosMode: *chaosFlag, showStats: *showStats,
 	}, nil
-}
-
-// decoderKindByName resolves a decoder flag against the canonical
-// DecoderKind names.
-func decoderKindByName(name string) (experiment.DecoderKind, error) {
-	for k := experiment.FlaggedMWPM; k <= experiment.BPOSD; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown decoder kind %q (want one of flagged-mwpm, plain-mwpm, flagged-restriction, baseline-restriction, flagged-unionfind, bp-osd)", name)
 }
 
 // buildOnline constructs the decode stack both modes share; the client
@@ -332,7 +320,7 @@ func runClient(cfg *cliConfig, o *experiment.Online) int {
 			fmt.Fprintln(os.Stderr, "decoded:", ferr)
 			return 1
 		}
-		rpw := rpwOf(c)
+		rpw := rtd.RoundsPerWindow(c)
 		plan := chaos.Plan{Seed: cfg.seed, Name: "decoded-" + cfg.chaosMode}
 		switch cfg.chaosMode {
 		case "torn":
@@ -431,18 +419,6 @@ func verifyOutcome(o *experiment.Online, res *sim.Result, out *rtd.StreamOutcome
 	}
 	fmt.Printf("decoded: verify: %d/%d corrections bit-identical to offline decode\n", verified, len(out.Results))
 	return 0
-}
-
-// rpwOf computes the rounds per window — the circuit's full round span,
-// matching what the server derives for the same configuration.
-func rpwOf(c *circuit.Circuit) int {
-	rpw := 0
-	for _, d := range c.Detectors {
-		if d.Round+1 > rpw {
-			rpw = d.Round + 1
-		}
-	}
-	return rpw
 }
 
 func printStats(w io.Writer, st rtd.Stats) {

@@ -34,7 +34,10 @@ func sample(c *circuit.Circuit, shots int, seed int64) *sim.Result {
 	return sim.NewBlockSampler(c, (shots+63)/64).Run(0, shots, seed)
 }
 
-func newDecoderFixture(b *testing.B) *decoderFixture {
+// fpnCircuit builds the [[30,8,3,3]] FPN memory-Z circuit at p=1e-3,
+// three rounds: the workload behind newDecoderFixture, for benchmarks
+// that need the circuit alone.
+func fpnCircuit(b *testing.B) *circuit.Circuit {
 	b.Helper()
 	code := catalogCode(b, "surface", 30)
 	net, err := fpn.Build(code, fpnArch)
@@ -54,6 +57,12 @@ func newDecoderFixture(b *testing.B) *decoderFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return c
+}
+
+func newDecoderFixture(b *testing.B) *decoderFixture {
+	b.Helper()
+	c := fpnCircuit(b)
 	model, err := dem.Extract(c)
 	if err != nil {
 		b.Fatal(err)
@@ -123,10 +132,10 @@ func BenchmarkDecoderUnionFindThroughput(b *testing.B) {
 // BenchmarkDEMExtraction measures detector-error-model extraction time
 // for the [[30,8,3,3]] FPN circuit (the one-off cost per experiment).
 func BenchmarkDEMExtraction(b *testing.B) {
-	f := newDecoderFixture(b)
+	c := fpnCircuit(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dem.Extract(f.c); err != nil {
+		if _, err := dem.Extract(c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,8 +144,7 @@ func BenchmarkDEMExtraction(b *testing.B) {
 // BenchmarkFrameSampler measures the bit-packed Pauli-frame sampler the
 // way the engine drives it: one reused 64-block BlockSampler, base seed i.
 func BenchmarkFrameSampler(b *testing.B) {
-	f := newDecoderFixture(b)
-	smp := sim.NewBlockSampler(f.c, 64)
+	smp := sim.NewBlockSampler(fpnCircuit(b), 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		smp.Run(0, 4096, int64(i))
@@ -236,9 +244,9 @@ func benchDecodeShots(b *testing.B, f *decoderFixture, dec interface {
 
 // benchDecodeBatch measures the 64-shot batch path on the same
 // pre-sampled shots: one timed iteration decodes one block through
-// decoder.Batch (all-zero fast path, syndrome memo, scalar fallback on
-// cold keys), cycling the block set. Reported shots/s counts lanes, so
-// the number is directly comparable to benchDecodeShots. The memo
+// decoder.Batch (syndrome memo, scalar decode on cold keys), cycling
+// the block set. Reported shots/s counts lanes, so the number is
+// directly comparable to benchDecodeShots. The memo
 // metrics come from the untimed first pass over the stream from a fresh
 // scratch: lanes/decode is lanes per inner decode, which depends only
 // on the stream and the memo policy, never on the machine.

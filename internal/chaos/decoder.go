@@ -121,9 +121,9 @@ type MemoPoisoner struct {
 	flips atomic.Int64
 }
 
-// Wrap returns dec with the poisoning fault installed. Decoders without
-// a batch path pass through untouched (their shards decode scalar and
-// never consult a memo).
+// Wrap returns dec with the poisoning fault installed. Anything but a
+// *decoder.Batch passes through untouched (its shards decode per lane
+// and never consult a memo).
 func (m *MemoPoisoner) Wrap(dec Decoder) Decoder {
 	b, ok := dec.(*decoder.Batch)
 	if !ok {

@@ -7,9 +7,7 @@
 // in a per-scratch direct-mapped table: at p ≈ 1e-3 most syndromes
 // repeat a handful of low-weight patterns, so the expensive matching
 // runs only on first sight. The empty syndrome is an ordinary entry
-// under the empty key. Third, a block whose detector words are all
-// zero is served by one read of that entry, fanned out to all 64
-// lanes. The memo is
+// under the empty key, read lane by lane like any other. The memo is
 // deterministic, scratch-owned and purely an execution-strategy cache —
 // a batch decode is bit-identical to 64 scalar DecodeWith calls by
 // construction, because a miss hands the decoder the lane's defect list
@@ -24,20 +22,6 @@ import (
 	"github.com/fpn/flagproxy/internal/sim"
 )
 
-// BatchDecoder is implemented by decoders that can decode one 64-shot
-// sampling block per call. Implementations must be bit-identical to
-// decoding each lane with DecodeWith — the batch path is a pure
-// optimization with no statistical footprint.
-type BatchDecoder interface {
-	// DecodeBatch decodes lanes [firstShot, firstShot+n) of res — one
-	// sampling block: firstShot must be 64-aligned and n in (0, 64] —
-	// and returns the number of lanes whose predicted observable flips
-	// disagree with the sampled observables (counting decode failures as
-	// errors, exactly like the scalar loop). A non-nil error reports a
-	// violated call contract, never a per-shot decode failure.
-	DecodeBatch(res *sim.Result, firstShot, n int, sc *DecodeScratch) (int, error)
-}
-
 // Memo geometry. A key lives only in slot keyHash(key) & (memoSlots−1),
 // and a store overwrites whatever that slot held: no recency, no
 // deletion. The slot count bounds memory (the table is allocated once
@@ -49,7 +33,7 @@ const (
 	memoMaxKey = 16   // defects per memoizable syndrome
 )
 
-// Batch lifts any ScratchDecoder to the BatchDecoder seam. Like the
+// Batch lifts any ScratchDecoder onto the 64-shot block path. Like the
 // decoders it wraps, a Batch is immutable after construction and safe
 // to share across workers; all mutable batch state (defect extraction
 // buffers, the memo) lives in the caller's DecodeScratch.
@@ -65,7 +49,7 @@ type Batch struct {
 	MemoFault func(keyHash uint64, pred []uint64)
 }
 
-// NewBatch wraps inner in the batch seam.
+// NewBatch lifts inner onto the block path.
 func NewBatch(inner ScratchDecoder) *Batch { return &Batch{inner: inner} }
 
 // Inner returns the wrapped scalar decoder.
@@ -86,7 +70,12 @@ func (b *Batch) DecodeWith(sc *DecodeScratch, defects []int32) ([]bool, error) {
 	return b.inner.DecodeWith(sc, defects)
 }
 
-// DecodeBatch decodes one sampling block. Lanes are processed in
+// DecodeBatch decodes lanes [firstShot, firstShot+n) of res — one
+// sampling block: firstShot must be 64-aligned and n in (0, 64] — and
+// returns the number of lanes whose predicted observable flips disagree
+// with the sampled observables, counting decode failures as errors
+// exactly like the scalar loop. A non-nil error reports a violated call
+// contract, never a per-shot decode failure. Lanes are processed in
 // ascending order and the memo is keyed on each lane's full defect
 // list, so the call sequence — and therefore the memo state and every
 // output — is deterministic for a fixed (res, firstShot, n) stream.
@@ -104,32 +93,23 @@ func (b *Batch) DecodeBatch(res *sim.Result, firstShot, n int, sc *DecodeScratch
 	if bs.owner != b || bs.numDet != len(res.Detectors) || bs.numObs != len(res.Observables) {
 		bs.init(b, len(res.Detectors), len(res.Observables))
 	}
-	wi, mask := firstShot>>6, laneMask(n)
 	clear(bs.pred)
+	bs.lanes.Extract(res, firstShot, n)
 	var failW uint64
-	if bs.lanes.Extract(res, firstShot, n) == 0 {
-		// All lanes are syndrome-free: the empty key's entry serves the
-		// whole block.
-		if b.serve(sc, nil, mask) {
-			failW = mask
-		}
-		return bs.countErrs(res, wi, mask, failW), nil
-	}
 	for l := 0; l < n; l++ {
 		if b.serve(sc, bs.lanes.Lane(l), 1<<uint(l)) {
 			failW |= 1 << uint(l)
 		}
 	}
-	return bs.countErrs(res, wi, mask, failW), nil
+	return bs.countErrs(res, firstShot>>6, laneMask(n), failW), nil
 }
 
-// serve decodes the lanes set in the word lanes, which all carry the
-// defect list key, into the prediction accumulators and reports whether
-// their decode failed. The first lane of a miss is the one inner decode;
-// every other lane is a memo hit.
+// serve decodes the one lane whose bit is set in lane, with defect list
+// key, into the prediction accumulators and reports whether its decode
+// failed: a memo hit, or else one inner decode.
 //
 //fpn:hotpath
-func (b *Batch) serve(sc *DecodeScratch, key []int32, lanes uint64) (failed bool) {
+func (b *Batch) serve(sc *DecodeScratch, key []int32, lane uint64) (failed bool) {
 	bs := &sc.batch
 	var h uint64
 	s := -1
@@ -137,20 +117,19 @@ func (b *Batch) serve(sc *DecodeScratch, key []int32, lanes uint64) (failed bool
 		h = keyHash(key)
 		s = int(h & (memoSlots - 1))
 		if bs.holds(s, key) {
-			bs.hits += uint64(bits.OnesCount64(lanes))
-			return bs.apply(s, lanes)
+			bs.hits++
+			return bs.apply(s, lane)
 		}
 	}
 	// Miss: scalar-decode the lane's defect list — the very key the
 	// outcome is stored under, so the memo replays a pure function of
 	// its key.
 	bs.misses++
-	bs.hits += uint64(bits.OnesCount64(lanes)) - 1
 	corr, err := b.inner.DecodeWith(sc, key)
 	if s < 0 {
 		for o, c := range corr {
 			if c {
-				bs.pred[o] |= lanes
+				bs.pred[o] |= lane
 			}
 		}
 		return err != nil
@@ -158,14 +137,14 @@ func (b *Batch) serve(sc *DecodeScratch, key []int32, lanes uint64) (failed bool
 	if !b.store(bs, s, h, key, corr, err) {
 		return true
 	}
-	return bs.apply(s, lanes)
+	return bs.apply(s, lane)
 }
 
 // store writes a fresh decode of key into slot s and reports whether
 // the entry is valid. It is the memo's one panic boundary: the slot
 // reads invalid (keyLen −1) until the entry is complete and the
 // MemoFault seam has returned, so a panic out of the seam leaves
-// nothing that can be replayed, and the lanes count as a failed decode,
+// nothing that can be replayed, and the lane counts as a failed decode,
 // exactly like a scalar decode error.
 //
 //fpn:hotpath
@@ -293,9 +272,9 @@ func (bs *batchScratch) apply(s int, lanes uint64) bool {
 }
 
 // MemoStats reports the cumulative batch-memo counters of this scratch:
-// hits are lanes served without an inner decode (all-zero fast-path
-// lanes included), misses are inner decodes (non-memoizable long
-// syndromes included). Every decoded lane counts exactly once.
+// hits are lanes served without an inner decode, misses are inner
+// decodes (non-memoizable long syndromes included). Every decoded lane
+// counts exactly once.
 func (sc *DecodeScratch) MemoStats() (hits, misses uint64) {
 	return sc.batch.hits, sc.batch.misses
 }

@@ -76,10 +76,11 @@ func TestMemoFaultPanicCountsLaneKeepsMemoClean(t *testing.T) {
 }
 
 // TestMemoFaultPanicOnEmptyLaneCache drives the panic through the
-// store of the empty key's entry: the whole all-zero block must count
-// as failed decodes (matching the scalar convention that a decode error
-// is a logical error), the entry must stay invalid, and a later
-// fault-free call must rebuild it and decode cleanly.
+// store of the empty key's entry: every lane of an all-zero block
+// re-misses, so the whole block must count as failed decodes (matching
+// the scalar convention that a decode error is a logical error), the
+// entry must stay invalid, and a later fault-free call must rebuild it
+// and decode cleanly.
 func TestMemoFaultPanicOnEmptyLaneCache(t *testing.T) {
 	model, _ := planarModel(t, 3, 1e-3)
 	d, err := NewMWPM(model, css.Z, 1e-3, true)

@@ -60,6 +60,13 @@ func assertBatchMatchesScalar(t *testing.T, b *Batch, bsc *DecodeScratch, res *s
 	}
 }
 
+// bposdBatchCase is the one case BP+OSD joins the batch differential
+// on: the smallest catalogue code, in both the default and the race
+// case lists. On all nine default cases BP+OSD took the test from
+// ≈14 s to ≈68 s of wall time on a 2-vCPU machine, and under the race
+// detector the colour case alone took 103 s.
+const bposdBatchCase = "surface-5_5-n30"
+
 // TestBatchDifferentialDecode proves the batch path bit-identical to
 // the scalar loop over the differential case catalog (both bases, three
 // seeds, an elevated physical rate so syndromes are non-trivial, and a
@@ -73,8 +80,8 @@ func TestBatchDifferentialDecode(t *testing.T) {
 			for _, basis := range []css.Basis{css.Z, css.X} {
 				model, c := buildModel(t, cs.code, diffOptions, basis, diffRounds, 3e-3)
 				for _, dd := range diffDecoders(t, model, basis, cs.color) {
-					if dd.name == "bposd" {
-						continue // BPOSD stays on the scalar path by design
+					if dd.name == "bposd" && cs.name != bposdBatchCase {
+						continue
 					}
 					b := NewBatch(dd.fast)
 					for _, seed := range []int64{11, 22, 33} {
@@ -193,8 +200,8 @@ search:
 // TestBatchMemoMissesMatchModel pins the number the decode gate reads:
 // on fixed BlockSampler streams, the inner decodes a Batch makes equal
 // its MemoStats misses, and both equal a map-based model of the
-// direct-mapped policy — one slot per key hash, a store overwrites, an
-// all-zero block reads the empty key once, and keys longer than
+// direct-mapped policy — one slot per key hash, a store overwrites,
+// the empty syndrome is an ordinary key, and keys longer than
 // memoMaxKey always decode.
 func TestBatchMemoMissesMatchModel(t *testing.T) {
 	for _, tc := range []struct {
@@ -232,10 +239,7 @@ func TestBatchMemoMissesMatchModel(t *testing.T) {
 			if _, err := b.DecodeBatch(res, first, 64, sc); err != nil {
 				t.Fatal(err)
 			}
-			if lanes.Extract(res, first, 64) == 0 {
-				visit(nil)
-				continue
-			}
+			lanes.Extract(res, first, 64)
 			for l := 0; l < 64; l++ {
 				visit(lanes.Lane(l))
 			}

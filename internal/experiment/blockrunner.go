@@ -46,11 +46,11 @@ type BlockRunner struct {
 // fabric coordinator), and per-block counts are deterministic
 // regardless of them.
 func (pl *Pipeline) NewBlockRunner(cfg Config) (*BlockRunner, error) {
-	cfg, c, dec, mk, err := pl.buildTail(cfg)
+	t, err := pl.buildTail(cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := newBlockRunner(cfg, c, dec, mk)
+	r := newBlockRunner(t.cfg, t.c, t.dec, t.mk)
 	r.ladder.timeout = 0
 	return r, nil
 }
@@ -153,7 +153,7 @@ type shardRes struct {
 	counts       []int
 	dec          *PooledDecoder
 	res          *sim.Result
-	lanes        decoder.Defects // the scalar loop's per-lane decode inputs
+	lanes        decoder.Defects // the per-lane loop's decode inputs
 }
 
 // open borrows a handle on pool p with its own sampler and counts
@@ -193,9 +193,9 @@ func (r *shardRes) count() ([]int, error) {
 // shard — exactly one 64-shot block, laneLo 64-aligned — and counts
 // logical errors. A decoding failure counts as a logical error,
 // including matching panics that the decoder package recovers into
-// errors at its Decode boundary. Whole blocks go through the batch
-// seam when the pooled decoder has one; the scalar loop below is the
-// fallback and the bit-identity reference.
+// errors at its Decode boundary. Whole blocks go through the Batch;
+// the per-lane loop below serves a decoder a WrapDecoder returned and
+// is the bit-identity reference.
 func (r *shardRes) countBlock(laneLo, shots int) int {
 	if errs, ok := r.dec.DecodeBlock(r.res, laneLo, shots); ok {
 		return errs

@@ -13,7 +13,7 @@ import (
 // primary panicked (CountBlocks) or the fallback chain did too
 // (RescueBlocks).
 func TestBlockRunnerFailuresAreShardErrors(t *testing.T) {
-	c, dec := crashWorkload(t, 2e-3)
+	c, dec := engineWorkload(t, 2e-3)
 	const seed, first = int64(13), 3
 	mk := func(DecoderKind) (Decoder, error) { return &panicOnCall{dec: dec, n: 0}, nil }
 	cfg := Config{Shots: 640, Seed: seed, Fallback: []DecoderKind{PlainMWPM}}

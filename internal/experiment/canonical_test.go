@@ -33,6 +33,12 @@ func TestCanonicalRotatedIsFaultTolerant(t *testing.T) {
 	}
 	t.Logf("canonical d=3: %d faults, %d failures (%d ambiguous)",
 		rep.Faults, rep.SingleFailures, rep.Ambiguous)
+	// The canonical circuit's error model has 198 Z-relevant single
+	// faults; a greedy rebuild of the code (TestGreedyRotatedDeffReport)
+	// has 184. Reading 184 here means cfg.Schedule was ignored.
+	if rep.Faults != 198 {
+		t.Fatalf("canonical d=3 probed %d faults, want 198: MeasureDeff did not use cfg.Schedule", rep.Faults)
+	}
 	if rep.DeffLowerBound != 3 {
 		t.Fatalf("canonical schedule not fault tolerant: %d failures", rep.SingleFailures)
 	}

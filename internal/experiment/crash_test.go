@@ -8,37 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/decoder"
-	"github.com/fpn/flagproxy/internal/dem"
-	"github.com/fpn/flagproxy/internal/noise"
 )
-
-// crashWorkload builds the raw engine inputs — circuit and decoder —
-// for white-box runEngine tests that need to inject faulty decoders.
-func crashWorkload(t testing.TB, p float64) (*circuit.Circuit, Decoder) {
-	t.Helper()
-	code := hyper55(t)
-	pl, err := NewPipeline(code, engineArch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nm := &noise.Model{P: p}
-	c, err := circuit.BuildMemory(circuit.MemorySpec{Plan: pl.Plan, Basis: css.Z, Rounds: 3, Noise: nm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := dem.Extract(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := newDecoder(FlaggedMWPM, model, css.Z, nm.MeasFlip())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, dec
-}
 
 // panicOnCall wraps a decoder and panics on exactly one Decode call
 // (0-based index n), imitating a pathological syndrome that trips a
@@ -72,7 +44,7 @@ func (recoveredErrDecoder) Decode([]int32) (corr []bool, err error) {
 // boundary must ride the existing decode-failure path — every shot
 // counts as a logical error, the engine finishes, nothing dies.
 func TestRecoveredDecodePanicCountsAsFailure(t *testing.T) {
-	c, _ := crashWorkload(t, 1e-3)
+	c, _ := engineWorkload(t, 1e-3)
 	cfg := Config{Shots: 640, Seed: 3, Workers: 2, ShardShots: 64}
 	out := runEngine(context.Background(), newBlockRunner(cfg, c, recoveredErrDecoder{}, nil))
 	if out.Shots != 640 || out.LogicalErrors != 640 {
@@ -87,7 +59,7 @@ func TestRecoveredDecodePanicCountsAsFailure(t *testing.T) {
 // committed prefix before the failed shard survives, the error carries
 // the exact (seed, firstBlock) repro, and the process lives.
 func TestShardPanicQuarantine(t *testing.T) {
-	c, dec := crashWorkload(t, 2e-3)
+	c, dec := engineWorkload(t, 2e-3)
 	const seed = int64(7)
 	// Single worker + 64-shot shards: Decode call i belongs to shot i,
 	// so call 320 is the first shot of block 5.
@@ -125,7 +97,7 @@ func TestShardPanicQuarantine(t *testing.T) {
 // the run completes with no quarantine. The fallback here is the same
 // healthy decoder, so the result must equal an uninjected run exactly.
 func TestFallbackChainRescuesShard(t *testing.T) {
-	c, dec := crashWorkload(t, 2e-3)
+	c, dec := engineWorkload(t, 2e-3)
 	bad := &panicOnCall{dec: dec, n: 320}
 	mk := func(k DecoderKind) (Decoder, error) {
 		if k != PlainMWPM {
@@ -155,7 +127,7 @@ func TestFallbackChainRescuesShard(t *testing.T) {
 // still in flight when TargetErrors stops the point are not booked and
 // the count is the same at every worker count.
 func TestFallbackBlocksIndependentOfWorkers(t *testing.T) {
-	c, dec := crashWorkload(t, 5e-3)
+	c, dec := engineWorkload(t, 5e-3)
 	mk := func(DecoderKind) (Decoder, error) { return dec, nil }
 	var want *Result
 	for _, workers := range []int{1, 2, 4} {
@@ -178,7 +150,7 @@ func TestFallbackBlocksIndependentOfWorkers(t *testing.T) {
 // A fallback chain whose decoders all fail must still quarantine, not
 // loop or crash.
 func TestFallbackChainExhausted(t *testing.T) {
-	c, dec := crashWorkload(t, 2e-3)
+	c, dec := engineWorkload(t, 2e-3)
 	bad := &panicOnCall{dec: dec, n: 64}
 	// The fallback panics too, on its first call: the shard stays dead.
 	alsoBad := func(DecoderKind) (Decoder, error) { return &panicOnCall{dec: dec, n: 0}, nil }

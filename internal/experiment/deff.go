@@ -3,17 +3,13 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-
-	"github.com/fpn/flagproxy/internal/seedmix"
 	"sort"
 
 	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/decoder"
 	"github.com/fpn/flagproxy/internal/dem"
-	"github.com/fpn/flagproxy/internal/fpn"
-	"github.com/fpn/flagproxy/internal/noise"
-	"github.com/fpn/flagproxy/internal/schedule"
+	"github.com/fpn/flagproxy/internal/seedmix"
 )
 
 // DeffReport measures a decoder's effective distance behaviour: a
@@ -32,41 +28,24 @@ type DeffReport struct {
 	FlaggedFraction float64
 }
 
-// MeasureDeff builds the memory circuit for the configuration, extracts
-// its detector error model, and probes the decoder with exhaustive
-// single faults and pairSamples random fault pairs.
+// MeasureDeff builds the configuration's memory circuit, error model
+// and decoder through the engine's pipeline — cfg.Schedule, FixedIdle
+// and CodeCapacity included — and probes the decoder with exhaustive
+// single faults and pairSamples random fault pairs. cfg.Shots has no
+// meaning here and defaults to 1 to satisfy validation.
 func MeasureDeff(cfg Config, pairSamples int) (*DeffReport, error) {
-	if cfg.Rounds == 0 {
-		cfg.Rounds = cfg.Code.DX
-		if cfg.Code.DZ < cfg.Rounds {
-			cfg.Rounds = cfg.Code.DZ
-		}
+	if cfg.Shots <= 0 {
+		cfg.Shots = 1
 	}
-	net, err := fpn.Build(cfg.Code, cfg.Arch)
+	pl, err := newPipelineFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s, err := schedule.Greedy(net)
+	t, err := pl.buildTail(cfg)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := schedule.BuildRoundPlan(s)
-	if err != nil {
-		return nil, err
-	}
-	nm := &noise.Model{P: cfg.P}
-	c, err := circuit.BuildMemory(circuit.MemorySpec{Plan: plan, Basis: cfg.Basis, Rounds: cfg.Rounds, Noise: nm})
-	if err != nil {
-		return nil, err
-	}
-	model, err := dem.Extract(c)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := newDecoder(cfg.Decoder, model, cfg.Basis, nm.MeasFlip())
-	if err != nil {
-		return nil, err
-	}
+	cfg, c, model, dec := t.cfg, t.c, t.model, t.dec
 	rep := &DeffReport{}
 	amb := ambiguousKeys(model)
 	var relevant []dem.Event

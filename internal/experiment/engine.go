@@ -181,25 +181,35 @@ func (pl *Pipeline) Run(cfg Config) (*Result, error) {
 // as a partial Result with Interrupted set — a valid Resume point —
 // rather than an error.
 func (pl *Pipeline) RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	cfg, c, dec, mk, err := pl.buildTail(cfg)
+	t, err := pl.buildTail(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := runEngine(ctx, newBlockRunner(cfg, c, dec, mk))
+	res := runEngine(ctx, newBlockRunner(t.cfg, t.c, t.dec, t.mk))
 	res.Net, res.LatencyNs = pl.Net, pl.Plan.LatencyNs
 	return res, nil
 }
 
+// tail is the p-dependent half of a run: the normalized configuration,
+// the noisy circuit, its detector error model, the primary decoder and
+// the lazy fallback-decoder factory.
+type tail struct {
+	cfg   Config
+	c     *circuit.Circuit
+	model *dem.Model
+	dec   Decoder
+	mk    func(DecoderKind) (Decoder, error)
+}
+
 // buildTail validates cfg, normalizes its defaults (Rounds, pipeline
-// artifacts) and constructs the p-dependent tail: the noisy circuit,
-// the primary decoder, and the lazy fallback-decoder factory. It is
-// shared by RunContext and NewBlockRunner so the distributed fabric's
-// workers decode through exactly the production stack.
-func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, func(DecoderKind) (Decoder, error), error) {
+// artifacts) and constructs the p-dependent tail. It is shared by
+// RunContext, NewBlockRunner, NewOnline and MeasureDeff, so every front
+// end decodes through exactly the production stack.
+func (pl *Pipeline) buildTail(cfg Config) (tail, error) {
 	cfg.Code = pl.Code
 	cfg.Schedule = pl.Sched
 	if err := validate(cfg); err != nil {
-		return cfg, nil, nil, nil, err
+		return tail{}, err
 	}
 	if cfg.CodeCapacity {
 		cfg.Rounds = 1
@@ -210,7 +220,7 @@ func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, fu
 			cfg.Rounds = cfg.Code.DZ
 		}
 		if cfg.Rounds < 1 {
-			return cfg, nil, nil, nil, fmt.Errorf("experiment: code has no distance metadata; set Rounds")
+			return tail{}, fmt.Errorf("experiment: code has no distance metadata; set Rounds")
 		}
 	}
 	nm := &noise.Model{P: cfg.P, FixedIdle: cfg.FixedIdle}
@@ -222,24 +232,25 @@ func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, fu
 		c, err = circuit.BuildMemory(circuit.MemorySpec{Plan: pl.Plan, Basis: cfg.Basis, Rounds: cfg.Rounds, Noise: nm})
 	}
 	if err != nil {
-		return cfg, nil, nil, nil, err
+		return tail{}, err
 	}
 	model, err := dem.Extract(c)
 	if err != nil {
-		return cfg, nil, nil, nil, err
+		return tail{}, err
 	}
 	// The primary and the fallback decoders share the circuit's error
 	// model; fallbacks are built lazily, only when a shard actually
-	// panics or times out. The batch lift happens before WrapDecoder so
-	// the chaos harness sees (and may fault-inject) the actual
-	// production decoder; a wrapper that hides the BatchDecoder
-	// interface simply routes its shards down the scalar loop.
+	// panics or times out. Every kind is lifted onto decoder.Batch
+	// before WrapDecoder, so the chaos harness sees (and may
+	// fault-inject) the actual production decoder; a wrapper that
+	// returns anything but a *decoder.Batch routes its shards down the
+	// per-lane loop.
 	mk := func(k DecoderKind) (Decoder, error) {
-		d, err := newDecoder(k, model, cfg.Basis, nm.MeasFlip())
+		sd, err := newDecoder(k, model, cfg.Basis, nm.MeasFlip())
 		if err != nil {
 			return nil, err
 		}
-		d = batchify(k, d)
+		var d Decoder = decoder.NewBatch(sd)
 		if cfg.WrapDecoder != nil {
 			d = cfg.WrapDecoder(k, d)
 		}
@@ -247,9 +258,9 @@ func (pl *Pipeline) buildTail(cfg Config) (Config, *circuit.Circuit, Decoder, fu
 	}
 	dec, err := mk(cfg.Decoder)
 	if err != nil {
-		return cfg, nil, nil, nil, err
+		return tail{}, err
 	}
-	return cfg, c, dec, mk, nil
+	return tail{cfg: cfg, c: c, model: model, dec: dec, mk: mk}, nil
 }
 
 // validate rejects configurations that would previously have poisoned a
@@ -305,29 +316,26 @@ func validate(cfg Config) error {
 // DecoderPool shares one immutable decoder across worker goroutines
 // while giving each worker a private decoder.DecodeScratch, so the
 // steady-state decode loop stays allocation-free without any locking.
-// Decoders built by this package (NewMWPM, NewRestriction, NewUnionFind,
-// NewBPOSD) are read-only after construction and safe to share; all
-// per-shot mutable state lives in the scratch.
+// Every decoder this package builds is a *decoder.Batch over a
+// read-only scratch decoder, safe to share; all per-shot mutable state,
+// the syndrome memo included, lives in the scratch.
 type DecoderPool struct {
-	dec     Decoder
-	scratch decoder.ScratchDecoder // non-nil iff dec supports scratch decoding
-	batch   decoder.BatchDecoder   // non-nil iff dec supports 64-shot block decoding
-	free    sync.Pool              // *decoder.DecodeScratch
+	dec   Decoder
+	batch *decoder.Batch // non-nil iff dec is one: scratch decoding and the block path
+	free  sync.Pool      // *decoder.DecodeScratch
 
 	memoHits   atomic.Int64 // accumulated from scratches at Release
 	memoMisses atomic.Int64
 }
 
-// NewDecoderPool wraps dec. Decoders implementing
-// decoder.ScratchDecoder get per-worker scratch arenas; anything else
-// falls back to plain Decode. Decoders additionally implementing
-// decoder.BatchDecoder get the 64-shot block path.
+// NewDecoderPool wraps dec. A *decoder.Batch gets per-worker scratch
+// arenas and the 64-shot block path; any other decoder — only what a
+// Config.WrapDecoder returns — decodes per lane through plain Decode.
 func NewDecoderPool(dec Decoder) *DecoderPool {
 	p := &DecoderPool{dec: dec}
-	if sd, ok := dec.(decoder.ScratchDecoder); ok {
-		p.scratch = sd
+	if b, ok := dec.(*decoder.Batch); ok {
+		p.batch = b
 		p.free.New = func() any { return decoder.NewScratch() }
-		p.batch, _ = dec.(decoder.BatchDecoder)
 	}
 	return p
 }
@@ -343,7 +351,7 @@ func (p *DecoderPool) MemoStats() (hits, misses int64) {
 // (and its warmed buffers) returns to the pool.
 func (p *DecoderPool) Get() *PooledDecoder {
 	d := &PooledDecoder{pool: p}
-	if p.scratch != nil {
+	if p.batch != nil {
 		d.sc = p.free.Get().(*decoder.DecodeScratch)
 	}
 	return d
@@ -357,7 +365,7 @@ type PooledDecoder struct {
 }
 
 // Decode routes through the zero-allocation DecodeWith hot path when
-// the pooled decoder supports it. It deliberately does NOT recover:
+// the pool holds a Batch. It deliberately does NOT recover:
 // the decoder package already converts its own invariant panics into
 // errors at each DecodeWith boundary, and anything that still unwinds
 // through here (a buggy third-party decoder, a sampler-contract
@@ -366,18 +374,18 @@ type PooledDecoder struct {
 // errors.
 func (d *PooledDecoder) Decode(defects []int32) ([]bool, error) {
 	if d.sc != nil {
-		return d.pool.scratch.DecodeWith(d.sc, defects)
+		return d.pool.batch.DecodeWith(d.sc, defects)
 	}
 	return d.pool.dec.Decode(defects)
 }
 
-// DecodeBlock decodes one 64-shot sampling block through the batch
-// seam, returning ok=false when the pooled decoder has no batch path
-// (the caller then runs the scalar loop). A contract error from
+// DecodeBlock decodes one 64-shot sampling block through the Batch,
+// returning ok=false when the pool holds a wrapped plain decoder (the
+// caller then runs the per-lane loop). A contract error from
 // DecodeBatch is an engine bug, not a per-shot decode failure: it
 // panics so the ladder quarantines the whole shard with a repro.
 func (d *PooledDecoder) DecodeBlock(res *sim.Result, firstShot, n int) (errs int, ok bool) {
-	if d.sc == nil || d.pool.batch == nil {
+	if d.sc == nil {
 		return 0, false
 	}
 	errs, err := d.pool.batch.DecodeBatch(res, firstShot, n, d.sc)
@@ -535,18 +543,21 @@ func (sw *Sweep) pipeline(cfg Config) (*Pipeline, error) {
 	if pl, ok := sw.pipes[key]; ok {
 		return pl, nil
 	}
-	var pl *Pipeline
-	var err error
-	if cfg.Schedule != nil {
-		pl, err = NewPipelineFromSchedule(cfg.Code, cfg.Schedule)
-	} else {
-		pl, err = NewPipeline(cfg.Code, cfg.Arch)
-	}
+	pl, err := newPipelineFor(cfg)
 	if err != nil {
 		return nil, err
 	}
 	sw.pipes[key] = pl
 	return pl, nil
+}
+
+// newPipelineFor builds cfg's pipeline: from cfg.Schedule when set,
+// else through the greedy scheduler on (cfg.Code, cfg.Arch).
+func newPipelineFor(cfg Config) (*Pipeline, error) {
+	if cfg.Schedule != nil {
+		return NewPipelineFromSchedule(cfg.Code, cfg.Schedule)
+	}
+	return NewPipeline(cfg.Code, cfg.Arch)
 }
 
 // PointSeed derives a statistically independent base seed for one sweep

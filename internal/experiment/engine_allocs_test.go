@@ -16,7 +16,7 @@ import (
 // most one more object per extra shard. Rebuilding either per shard
 // would add several.
 func TestEngineAllocsDoNotScaleWithShards(t *testing.T) {
-	c, dec := benchWorkload(t)
+	c, dec := engineWorkload(t, 1e-3)
 	allocs := func(shards int) float64 {
 		cfg := Config{Shots: shards * blockShots, Seed: 1, Workers: 1, ShardShots: blockShots}
 		return testing.AllocsPerRun(3, func() {

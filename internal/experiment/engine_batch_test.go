@@ -1,12 +1,11 @@
 package experiment
 
 // Engine-level batch/scalar differential: the batch path must be a
-// pure execution strategy. For every decoder family the engine can
-// batch, a full engine run — sharded workers, partial tail block, early
-// stopping — must commit bit-identical (Shots, Blocks, LogicalErrors)
-// whether the pool gets the batch decoder or its bare scalar inner
-// decoder, and the batch run must account for every decoded lane in
-// its memo counters.
+// pure execution strategy. For every decoder family, a full engine run
+// — sharded workers, partial tail block, early stopping — must commit
+// bit-identical (Shots, Blocks, LogicalErrors) whether the pool gets
+// the batch decoder or its bare scalar inner decoder, and the batch run
+// must account for every decoded lane in its memo counters.
 
 import (
 	"testing"
@@ -15,8 +14,8 @@ import (
 	"github.com/fpn/flagproxy/internal/decoder"
 )
 
-// unbatch is a WrapDecoder that hands the pool the bare scratch decoder
-// a batch decoder wraps, so every shard takes the per-shot scalar loop.
+// unbatch is a WrapDecoder that hands the pool the bare decoder a Batch
+// wraps, so every shard takes the per-lane Decode loop.
 func unbatch(_ DecoderKind, d Decoder) Decoder {
 	if b, ok := d.(*decoder.Batch); ok {
 		return b.Inner().(Decoder)
@@ -56,13 +55,6 @@ func TestEngineBatchScalarBitIdentity(t *testing.T) {
 			t.Errorf("%v: batch (shots=%d blocks=%d errs=%d) != scalar (shots=%d blocks=%d errs=%d)",
 				kind, batch.Shots, batch.Blocks, batch.LogicalErrors,
 				scalar.Shots, scalar.Blocks, scalar.LogicalErrors)
-		}
-		if kind == BPOSD {
-			if batch.MemoHits != 0 || batch.MemoMisses != 0 {
-				t.Errorf("bp-osd: reported memo traffic (%d hits, %d misses) but stays scalar by design",
-					batch.MemoHits, batch.MemoMisses)
-			}
-			continue
 		}
 		// No early stop and no timeouts: every lane is decoded exactly
 		// once, counts once as a hit or a miss, and every scratch is

@@ -7,38 +7,28 @@ import (
 	"github.com/fpn/flagproxy/internal/circuit"
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/decoder"
-	"github.com/fpn/flagproxy/internal/dem"
-	"github.com/fpn/flagproxy/internal/noise"
 	"github.com/fpn/flagproxy/internal/sim"
 )
 
 const benchShots = 2048
 
-// benchWorkload prebuilds everything p-dependent once — circuit,
-// detector error model, decoder — so the benchmarks below time only the
+// engineWorkload builds the raw engine inputs once — the [[30,8,3,3]]
+// memory-Z circuit at p and the production decoder, lifted onto
+// decoder.Batch by buildTail — so the benchmarks below time only the
 // simulate→decode→count engine, the part that dominates cluster-scale
-// shot counts.
-func benchWorkload(b testing.TB) (*circuit.Circuit, Decoder) {
-	b.Helper()
-	code := hyper55(b)
-	pl, err := NewPipeline(code, engineArch)
+// shot counts, and white-box runEngine tests can wrap the decoder in
+// faulty ones.
+func engineWorkload(t testing.TB, p float64) (*circuit.Circuit, Decoder) {
+	t.Helper()
+	pl, err := NewPipeline(hyper55(t), engineArch)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	nm := &noise.Model{P: 1e-3}
-	c, err := circuit.BuildMemory(circuit.MemorySpec{Plan: pl.Plan, Basis: css.Z, Rounds: 3, Noise: nm})
+	tl, err := pl.buildTail(Config{Basis: css.Z, Rounds: 3, P: p, Shots: 1, Decoder: FlaggedMWPM})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	model, err := dem.Extract(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := newDecoder(FlaggedMWPM, model, css.Z, nm.MeasFlip())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c, dec
+	return tl.c, tl.dec
 }
 
 // benchmarkEngine measures the sharded engine on the [[30,8,3,3]]
@@ -47,7 +37,7 @@ func benchWorkload(b testing.TB) (*circuit.Circuit, Decoder) {
 // for the multi-core scaling claim; run with -benchmem to see the
 // bounded per-shard memory against the legacy all-shots-at-once batch.
 func benchmarkEngine(b *testing.B, workers int) {
-	c, dec := benchWorkload(b)
+	c, dec := engineWorkload(b, 1e-3)
 	cfg := Config{
 		Shots: benchShots, Seed: 1, Workers: workers,
 	}
@@ -66,7 +56,7 @@ func BenchmarkEngineWorkers4(b *testing.B) { benchmarkEngine(b, 4) }
 // one giant bit-packed sampling pass holding every shot's detector rows
 // in memory at once, decoded serially on one goroutine.
 func BenchmarkEngineLegacySingleBatch(b *testing.B) {
-	c, dec := benchWorkload(b)
+	c, dec := engineWorkload(b, 1e-3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sim.NewBlockSampler(c, (benchShots+63)/64).Run(0, benchShots, 1)

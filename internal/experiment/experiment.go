@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"github.com/fpn/flagproxy/internal/css"
@@ -46,6 +47,19 @@ func (k DecoderKind) String() string {
 		return "bp-osd"
 	}
 	return "unknown"
+}
+
+// ParseDecoderKind is String's inverse: it resolves a decoder name such
+// as "flagged-mwpm" to its kind.
+func ParseDecoderKind(name string) (DecoderKind, error) {
+	names := make([]string, 0, BPOSD+1)
+	for k := FlaggedMWPM; k <= BPOSD; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+		names = append(names, k.String())
+	}
+	return 0, fmt.Errorf("unknown decoder kind %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // Config describes one memory experiment.
@@ -175,8 +189,8 @@ type Result struct {
 	// MemoHits and MemoMisses aggregate the batch-decode syndrome-memo
 	// counters across all worker scratches (best effort: a scratch
 	// deliberately leaked to a timed-out attempt keeps its counts).
-	// Zero on the scalar path. Diagnostics only — they have no
-	// statistical footprint.
+	// Zero when WrapDecoder hides the Batch. Diagnostics only — they
+	// have no statistical footprint.
 	MemoHits, MemoMisses int64
 }
 
@@ -227,7 +241,7 @@ type Decoder interface {
 	Decode(defects []int32) ([]bool, error)
 }
 
-func newDecoder(kind DecoderKind, model *dem.Model, basis css.Basis, pM float64) (Decoder, error) {
+func newDecoder(kind DecoderKind, model *dem.Model, basis css.Basis, pM float64) (decoder.ScratchDecoder, error) {
 	switch kind {
 	case FlaggedMWPM:
 		return decoder.NewMWPM(model, basis, pM, true)
@@ -243,21 +257,6 @@ func newDecoder(kind DecoderKind, model *dem.Model, basis css.Basis, pM float64)
 		return decoder.NewBPOSD(model, basis, 30)
 	}
 	return nil, fmt.Errorf("experiment: unknown decoder kind %d", kind)
-}
-
-// batchify lifts a freshly built decoder onto the 64-shot batch path
-// when its kind supports it. BPOSD stays scalar: its per-shot cost is
-// dominated by BP message passing whose amortization lives in the
-// scratch, not in syndrome repetition, and keeping one decoder family
-// on the scalar loop preserves a production consumer of that path.
-func batchify(kind DecoderKind, dec Decoder) Decoder {
-	if kind == BPOSD {
-		return dec
-	}
-	if sd, ok := dec.(decoder.ScratchDecoder); ok {
-		return decoder.NewBatch(sd)
-	}
-	return dec
 }
 
 // wilson returns the 95% Wilson score interval for k successes in n

@@ -32,11 +32,11 @@ func (pl *Pipeline) NewOnline(cfg Config) (*Online, error) {
 	if cfg.Shots <= 0 {
 		cfg.Shots = 1
 	}
-	cfg, c, dec, mk, err := pl.buildTail(cfg)
+	t, err := pl.buildTail(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Online{cfg: cfg, c: c, ladder: newLadder(cfg, dec, mk)}, nil
+	return &Online{cfg: t.cfg, c: t.c, ladder: newLadder(t.cfg, t.dec, t.mk)}, nil
 }
 
 // Circuit returns the noisy memory circuit the decoder was extracted

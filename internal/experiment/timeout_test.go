@@ -50,7 +50,7 @@ func (d *slowOnCall) Decode(defects []int32) ([]bool, error) {
 // rescue the shard deterministically: same seed, same firstBlock, so
 // with a healthy fallback the result is bit-identical to a clean run.
 func TestHungDecoderRescuedByFallbackWithinDeadline(t *testing.T) {
-	c, dec := crashWorkload(t, 2e-3)
+	c, dec := engineWorkload(t, 2e-3)
 	release := make(chan struct{})
 	defer close(release)
 	// Single worker + 64-shot shards: call 320 is the first shot of
@@ -94,7 +94,7 @@ func TestHungDecoderRescuedByFallbackWithinDeadline(t *testing.T) {
 // A slow-but-finishing decoder under a generous deadline must take the
 // watchdog path without changing a single bit of the result.
 func TestSlowDecoderUnderDeadlineBitIdentical(t *testing.T) {
-	c, dec := crashWorkload(t, 2e-3)
+	c, dec := engineWorkload(t, 2e-3)
 	slow := &slowOnCall{dec: dec, delay: 50 * time.Microsecond}
 	cfg := Config{Shots: 640, Seed: 7, Workers: 2, ShardShots: 64, DecodeTimeout: 30 * time.Second}
 	out := runEngine(context.Background(), newBlockRunner(cfg, c, slow, nil))
@@ -112,7 +112,7 @@ func TestSlowDecoderUnderDeadlineBitIdentical(t *testing.T) {
 // quarantined with Timeout set and the ErrDecodeTimeout cause, while
 // the committed prefix before it survives.
 func TestHungDecoderWithoutFallbackQuarantines(t *testing.T) {
-	c, dec := crashWorkload(t, 2e-3)
+	c, dec := engineWorkload(t, 2e-3)
 	release := make(chan struct{})
 	defer close(release)
 	bad := &hangOnCall{dec: dec, n: 320, release: release}

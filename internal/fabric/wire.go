@@ -109,9 +109,10 @@ func MarshalConfig(cfg experiment.Config) (*WireConfig, error) {
 // pre-normalization value, and normalization belongs to the engine.
 func (w *WireConfig) Config() (experiment.Config, error) {
 	var cfg experiment.Config
-	dec, err := decoderKind(w.Decoder)
+	// The stable names, not the iota values, cross the wire.
+	dec, err := experiment.ParseDecoderKind(w.Decoder)
 	if err != nil {
-		return cfg, err
+		return cfg, fmt.Errorf("fabric: %w", err)
 	}
 	if len(w.Basis) != 1 || (w.Basis != "X" && w.Basis != "Z") {
 		return cfg, fmt.Errorf("fabric: bad basis %q", w.Basis)
@@ -149,15 +150,4 @@ func (w *WireConfig) Config() (experiment.Config, error) {
 	code.DXExact, code.DZExact = w.Code.DXExact, w.Code.DZExact
 	cfg.Code = code
 	return cfg, nil
-}
-
-// decoderKind resolves a DecoderKind from its String form — the stable
-// names, not the iota values, cross the wire.
-func decoderKind(name string) (experiment.DecoderKind, error) {
-	for k := experiment.FlaggedMWPM; k <= experiment.BPOSD; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("fabric: unknown decoder %q", name)
 }

@@ -270,18 +270,23 @@ func decodeResponseFrom(data []byte, from int) (*StreamOutcome, error) {
 	return out, nil
 }
 
+// RoundsPerWindow is the number of rounds one window of c's syndrome
+// stream carries: the circuit's full round span, max detector Round + 1.
+func RoundsPerWindow(c *circuit.Circuit) int {
+	rpw := 0
+	for _, d := range c.Detectors {
+		rpw = max(rpw, d.Round+1)
+	}
+	return rpw
+}
+
 // BuildWindows converts n sampled shots (starting at firstShot) into
 // the per-window, per-round fired-detector lists a syndrome stream
 // carries: one window per shot, indices strictly ascending within each
 // round. The inverse of what the service reassembles, so a round-trip
 // is exact.
 func BuildWindows(c *circuit.Circuit, res *sim.Result, firstShot, n int) [][][]int {
-	rpw := 0
-	for _, d := range c.Detectors {
-		if d.Round+1 > rpw {
-			rpw = d.Round + 1
-		}
-	}
+	rpw := RoundsPerWindow(c)
 	wins := make([][][]int, n)
 	for s := 0; s < n; s++ {
 		win := make([][]int, rpw)

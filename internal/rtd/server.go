@@ -180,13 +180,9 @@ func NewServer(opt Options) (*Server, error) {
 	if len(c.Detectors) == 0 {
 		return nil, fmt.Errorf("rtd: serving circuit has no detectors")
 	}
-	rpw := 0
 	roundOf := make([]int, len(c.Detectors))
 	for i, d := range c.Detectors {
 		roundOf[i] = d.Round
-		if d.Round+1 > rpw {
-			rpw = d.Round + 1
-		}
 	}
 	cfg := opt.Online.Config()
 	s := &Server{
@@ -195,7 +191,7 @@ func NewServer(opt Options) (*Server, error) {
 		clock:        opt.Clock,
 		fp:           cfg.Fingerprint(),
 		decName:      cfg.Decoder.String(),
-		rpw:          rpw,
+		rpw:          RoundsPerWindow(c),
 		numDet:       len(c.Detectors),
 		roundOf:      roundOf,
 		readTimeout:  opt.ReadTimeout,
