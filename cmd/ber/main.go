@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -603,13 +602,12 @@ func fig17(r *runner, ps []float64, maxN int) {
 func fig18(r *runner, ps []float64, maxN int) {
 	fmt.Println("Figure 18: BER_norm of color codes (flagged Restriction decoder)")
 	var codes []*css.Code
-	rng := rand.New(rand.NewSource(r.seed))
 	for _, l := range []int{2, 3} {
 		c, err := color.HexagonalToric(l)
 		if err != nil {
 			continue
 		}
-		c.ComputeDistances(4, 30_000_000, 20, rng)
+		c.ComputeDistances()
 		codes = append(codes, c)
 	}
 	for _, e := range catalog.Standard() {

@@ -136,8 +136,8 @@ func ColorCodes(r, s int, opt Options) []Entry {
 			if err != nil || code.K == 0 {
 				continue
 			}
-			code.ComputeDistances(4, 30_000_000, 30, rng)
-			if code.DZ < 3 || (code.DX > 0 && code.DX < 3) {
+			code.ComputeDistances()
+			if code.DZ < 3 || code.DX < 3 {
 				continue
 			}
 			seenN[n] = true

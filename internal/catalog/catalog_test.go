@@ -89,6 +89,39 @@ func TestStandardCatalogCoverage(t *testing.T) {
 			t.Fatalf("%s has k=%d", e.Code.Name, e.Code.K)
 		}
 	}
+	// Tables IV/V report [[n,k,d]]: every distance is certified, so
+	// mapgen never prints "bound".
+	for _, e := range entries {
+		if !e.Code.DXExact || !e.Code.DZExact {
+			t.Errorf("%s %s: distances are bounds, not exact", e.Code.Name, e.Code.Params())
+		}
+	}
+}
+
+// TestMinLogicalMatchesHomology checks the homology distances of every
+// surface code in the catalogue (ShortestNontrivialCycle on the map and
+// its dual) against css.MinLogical, which searches the check matrices
+// and shares no code with the homology path.
+func TestMinLogicalMatchesHomology(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full catalogue is slow")
+	}
+	surfaces := 0
+	for _, e := range Standard() {
+		if e.Family != "surface" {
+			continue
+		}
+		surfaces++
+		c := e.Code
+		hx, hz := c.CheckMatrix(css.X), c.CheckMatrix(css.Z)
+		dz, dx := css.MinLogical(hx, hz), css.MinLogical(hz, hx)
+		if !dz.Exact || dz.D != c.DZ || !dx.Exact || dx.D != c.DX {
+			t.Errorf("%s: homology dX/dZ = %d/%d, MinLogical %+v / %+v", c.Name, c.DX, c.DZ, dx, dz)
+		}
+	}
+	if surfaces != 13 {
+		t.Fatalf("%d surface codes in the catalogue, want the 13 catalog.golden pins", surfaces)
+	}
 }
 
 func TestSearchSurfaceCodesFindsSmallMap(t *testing.T) {

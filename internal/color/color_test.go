@@ -17,8 +17,7 @@ func TestHexagonalToricL2(t *testing.T) {
 	if code.N != 24 || code.K != 4 {
 		t.Fatalf("[[%d,%d]], want [[24,4]]", code.N, code.K)
 	}
-	rng := rand.New(rand.NewSource(1))
-	code.ComputeDistances(4, 50_000_000, 30, rng)
+	code.ComputeDistances()
 	if !code.DZExact || code.DZ != 4 {
 		t.Fatalf("dZ = %d (exact=%v), want 4", code.DZ, code.DZExact)
 	}
@@ -35,10 +34,9 @@ func TestHexagonalToricL3(t *testing.T) {
 	if code.N != 54 || code.K != 4 {
 		t.Fatalf("[[%d,%d]], want [[54,4]]", code.N, code.K)
 	}
-	rng := rand.New(rand.NewSource(2))
-	code.ComputeDistances(4, 5_000_000, 40, rng)
-	if code.DZ < 4 {
-		t.Fatalf("dZ bound %d too small", code.DZ)
+	code.ComputeDistances()
+	if code.DZ != 6 || code.DX != 6 || !code.DZExact || !code.DXExact {
+		t.Fatalf("d = %d/%d (exact=%v/%v), want 6/6 exact", code.DX, code.DZ, code.DXExact, code.DZExact)
 	}
 }
 

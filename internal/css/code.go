@@ -39,7 +39,8 @@ type Code struct {
 	LogicalZ []gf2.Vec // k independent Z logical representatives
 
 	// Distances; 0 means unknown. The Exact flags record whether the
-	// value is certified or an upper bound from sampling.
+	// value is certified, or an upper bound (the lightest logical-basis
+	// vector) because MinLogical ran out of its node budget.
 	DX, DZ           int
 	DXExact, DZExact bool
 }

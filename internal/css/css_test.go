@@ -1,7 +1,6 @@
 package css
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/fpn/flagproxy/internal/gf2"
@@ -46,8 +45,7 @@ func TestSteaneParameters(t *testing.T) {
 
 func TestSteaneDistance(t *testing.T) {
 	c := steane(t)
-	rng := rand.New(rand.NewSource(1))
-	c.ComputeDistances(7, 1_000_000, 10, rng)
+	c.ComputeDistances()
 	if c.DX != 3 || c.DZ != 3 || !c.DXExact || !c.DZExact {
 		t.Fatalf("distances %d/%d exact=%v/%v; want 3/3 exact", c.DX, c.DZ, c.DXExact, c.DZExact)
 	}
@@ -94,8 +92,7 @@ func TestRepetitionCodeAsCSS(t *testing.T) {
 	if c.K != 1 {
 		t.Fatalf("k = %d, want 1", c.K)
 	}
-	rng := rand.New(rand.NewSource(2))
-	c.ComputeDistances(3, 1000, 5, rng)
+	c.ComputeDistances()
 	if c.DZ != 1 || c.DX != 3 {
 		t.Fatalf("dZ=%d dX=%d, want 1,3", c.DZ, c.DX)
 	}
@@ -136,12 +133,29 @@ func TestMinLogicalExactBudgetExhaustion(t *testing.T) {
 	}
 }
 
-func TestMinLogicalSampleFindsBound(t *testing.T) {
+// TestMinLogicalBudgetFallback runs the search out of nodes: the result
+// must be inexact, keep a lower bound below the true distance, and report
+// the lightest vector of the code's own logical basis as the upper bound.
+func TestMinLogicalBudgetFallback(t *testing.T) {
 	c := steane(t)
-	rng := rand.New(rand.NewSource(3))
-	res := MinLogicalSample(c.CheckMatrix(X), c.CheckMatrix(Z), 20, rng)
-	if res.D == 0 || res.D < 3 {
-		t.Fatalf("sampled bound %d invalid (true distance 3)", res.D)
+	for _, b := range []struct {
+		kerBasis Basis
+		hKer     *gf2.Matrix
+		hMod     *gf2.Matrix
+		logicals []gf2.Vec
+	}{
+		{X, c.CheckMatrix(X), c.CheckMatrix(Z), c.LogicalZ},
+		{Z, c.CheckMatrix(Z), c.CheckMatrix(X), c.LogicalX},
+	} {
+		lightest := c.N
+		for _, v := range b.logicals {
+			lightest = min(lightest, v.Weight())
+		}
+		res := minLogical(b.hKer, b.hMod, 10)
+		if res.Exact || res.LowerBound >= 3 || res.D != lightest || res.D < 3 {
+			t.Fatalf("ker(H%c) with budget 10: %+v; want inexact, lower bound < 3, D = %d (lightest basis vector)",
+				b.kerBasis, res, lightest)
+		}
 	}
 }
 

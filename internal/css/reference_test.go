@@ -29,3 +29,64 @@ func NaiveLogicalBasis(hKer, hMod *gf2.Matrix, k int) []gf2.Vec {
 	}
 	return logicals
 }
+
+// MinLogicalExact searches exhaustively for the minimum-weight vector in
+// ker(hKer) \ rowspace(hMod) of weight at most wmax, subject to a budget
+// of at most maxCombos enumeration steps. If the weight-w layer completes
+// without exceeding the budget and finds a logical, the result is exact.
+// It is the brute-force reference MinLogical is checked against.
+func MinLogicalExact(hKer, hMod *gf2.Matrix, wmax int, maxCombos int64) DistanceResult {
+	n := hKer.Cols()
+	mod := gf2.RowReduce(hMod)
+	kerT := hKer.Transpose() // row q = syndrome of single qubit q
+	var budget int64
+	support := make([]int, 0, wmax)
+	syn := gf2.NewVec(hKer.Rows())
+	found := false
+
+	// search returns true to abort the whole enumeration (found a logical
+	// at this weight, or budget exhausted).
+	var search func(start, remaining int) bool
+	search = func(start, remaining int) bool {
+		if budget++; budget > maxCombos {
+			return true
+		}
+		if remaining == 0 {
+			if syn.IsZero() {
+				v := gf2.VecFromSupport(n, support)
+				if !mod.InRowSpace(v) {
+					found = true
+					return true
+				}
+			}
+			return false
+		}
+		for q := start; q <= n-remaining; q++ {
+			syn.Xor(kerT.Row(q))
+			support = append(support, q)
+			stop := search(q+1, remaining-1)
+			support = support[:len(support)-1]
+			syn.Xor(kerT.Row(q))
+			if stop {
+				return true
+			}
+		}
+		return false
+	}
+
+	res := DistanceResult{}
+	for w := 1; w <= wmax; w++ {
+		found = false
+		stopped := search(0, w)
+		if found {
+			return DistanceResult{D: w, Exact: true, LowerBound: w - 1}
+		}
+		if stopped {
+			// Budget exhausted mid-layer: weight w not fully excluded.
+			res.LowerBound = w - 1
+			return res
+		}
+		res.LowerBound = w
+	}
+	return res
+}

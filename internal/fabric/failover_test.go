@@ -604,11 +604,15 @@ func TestNetFaultPlansIdentity(t *testing.T) {
 	}
 	for _, p := range plans {
 		t.Run(p.name, func(t *testing.T) {
+			// Worker 1 is healthy but held back until the plan has
+			// attacked worker 0, so it cannot settle every shard first
+			// and leave the plan nothing to attack.
+			held := holdUntil{hit: func() bool { return p.hit(p.fault) > 0 }, wait: 10 * time.Second}
 			res := runFabric(t, cfg, 2, fabric.Options{}, func(i int) fabric.WorkerOptions {
 				if i == 0 {
 					return fabric.WorkerOptions{Client: &http.Client{Transport: p.fault, Timeout: 30 * time.Second}}
 				}
-				return fabric.WorkerOptions{}
+				return fabric.WorkerOptions{Client: &http.Client{Transport: held, Timeout: 30 * time.Second}}
 			})
 			if p.hit(p.fault) == 0 {
 				t.Errorf("%s plan attacked nothing; the test is vacuous", p.name)
@@ -618,6 +622,20 @@ func TestNetFaultPlansIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// holdUntil is a RoundTripper that holds each request until hit reports
+// true or wait has passed, then sends it on http.DefaultTransport.
+type holdUntil struct {
+	hit  func() bool
+	wait time.Duration
+}
+
+func (h holdUntil) RoundTrip(req *http.Request) (*http.Response, error) {
+	for deadline := time.Now().Add(h.wait); !h.hit() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // TestWorkerMaxRetriesUnreachable: with a bounded retry budget and

@@ -26,8 +26,7 @@ func TestToricAsHGP(t *testing.T) {
 		if code.K != ExpectedK(rep, rep) {
 			t.Fatalf("dimension formula mismatch: %d vs %d", code.K, ExpectedK(rep, rep))
 		}
-		rng := rand.New(rand.NewSource(1))
-		code.ComputeDistances(l, 100_000_000, 10, rng)
+		code.ComputeDistances()
 		if code.DZ != l || code.DX != l {
 			t.Fatalf("L=%d: d=%d/%d, want %d", l, code.DZ, code.DX, l)
 		}

@@ -56,10 +56,10 @@ func TestToricDistanceMatchesEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cross-check homology distance with exhaustive search.
-	want := css.MinLogicalExact(code.CheckMatrix(css.X), code.CheckMatrix(css.Z), 6, 10_000_000)
+	// Cross-check the homology distance with the exact logical search.
+	want := css.MinLogical(code.CheckMatrix(css.X), code.CheckMatrix(css.Z))
 	if !want.Exact || want.D != code.DZ {
-		t.Fatalf("homology dZ=%d, enumeration %+v", code.DZ, want)
+		t.Fatalf("homology dZ=%d, search %+v", code.DZ, want)
 	}
 }
 
@@ -89,10 +89,10 @@ func TestHyperbolic55FromA5(t *testing.T) {
 		if code.DZ != 3 || code.DX != 3 {
 			t.Fatalf("d=%d/%d, want 3/3", code.DZ, code.DX)
 		}
-		// Cross-check with exhaustive enumeration.
-		ex := css.MinLogicalExact(code.CheckMatrix(css.X), code.CheckMatrix(css.Z), 4, 50_000_000)
+		// Cross-check with the exact logical search.
+		ex := css.MinLogical(code.CheckMatrix(css.X), code.CheckMatrix(css.Z))
 		if !ex.Exact || ex.D != 3 {
-			t.Fatalf("enumeration disagrees: %+v", ex)
+			t.Fatalf("search disagrees: %+v", ex)
 		}
 		return
 	}
@@ -120,11 +120,11 @@ func TestRotatedDistanceVerified(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := css.MinLogicalExact(l.Code.CheckMatrix(css.X), l.Code.CheckMatrix(css.Z), d, 100_000_000)
+		got := css.MinLogical(l.Code.CheckMatrix(css.X), l.Code.CheckMatrix(css.Z))
 		if !got.Exact || got.D != d {
 			t.Fatalf("d=%d: measured dZ %+v", d, got)
 		}
-		gotX := css.MinLogicalExact(l.Code.CheckMatrix(css.Z), l.Code.CheckMatrix(css.X), d, 100_000_000)
+		gotX := css.MinLogical(l.Code.CheckMatrix(css.Z), l.Code.CheckMatrix(css.X))
 		if !gotX.Exact || gotX.D != d {
 			t.Fatalf("d=%d: measured dX %+v", d, gotX)
 		}
