@@ -14,7 +14,7 @@ package analysis
 //	                             fingerprintcover does not require it in
 //	                             the checkpoint fingerprint.
 //	//fpnvet:coldpath <why>    — on a function: a sanctioned rare
-//	                             fallback (OSD-0, residual repair) that
+//	                             fallback (BP+OSD's OSD-0) that
 //	                             may allocate; hotalloc prunes its whole
 //	                             subgraph.
 //	//fpnvet:wallclock <why>   — on a statement or function in the fabric

@@ -30,9 +30,9 @@ type BPOSD struct {
 	Iters int
 
 	numObs int
-	id     string // kind+config tag attached to decode errors
-	dets   []int  // row order: detector ids (syndrome + flag)
-	rowOf  map[int]int
+	id     string  // kind+config tag attached to decode errors
+	dets   []int   // row order: detector ids (syndrome + flag)
+	rowOf  []int   // detector -> row, or -1
 	varDet [][]int // variable -> row indices
 	varObs [][]int // variable -> observables flipped
 	prior  []float64
@@ -55,16 +55,17 @@ func NewBPOSD(model *dem.Model, basis css.Basis, iters int) (*BPOSD, error) {
 		iters = 30
 	}
 	events := model.Project(basis)
-	d := &BPOSD{Basis: basis, Iters: iters, numObs: len(model.Circuit.Observables), rowOf: map[int]int{}}
+	d := &BPOSD{Basis: basis, Iters: iters, numObs: len(model.Circuit.Observables), rowOf: make([]int, len(model.Circuit.Detectors))}
 	d.id = fmt.Sprintf("bp-osd(basis=%c iters=%d)", basis, iters)
+	for det := range d.rowOf {
+		d.rowOf[det] = -1
+	}
 	addRow := func(det int) int {
-		if r, ok := d.rowOf[det]; ok {
-			return r
+		if d.rowOf[det] < 0 {
+			d.rowOf[det] = len(d.dets)
+			d.dets = append(d.dets, det)
 		}
-		r := len(d.dets)
-		d.rowOf[det] = r
-		d.dets = append(d.dets, det)
-		return r
+		return d.rowOf[det]
 	}
 	for _, ev := range events {
 		var rows []int
@@ -153,8 +154,8 @@ func (d *BPOSD) DecodeWith(sc *DecodeScratch, defects []int32) (corr []bool, err
 	clear(syndrome)
 	any := false
 	for _, id := range defects {
-		if r, ok := d.rowOf[int(id)]; ok {
-			syndrome[r] = true
+		if uint(id) < uint(len(d.rowOf)) && d.rowOf[id] >= 0 {
+			syndrome[d.rowOf[id]] = true
 			any = true
 		}
 	}

@@ -26,25 +26,18 @@ func decompose(events []dem.ProjEvent, maxSize int) []dem.ProjEvent {
 }
 
 func decomposeAtoms(events []dem.ProjEvent, atomMax, maxSize int) []dem.ProjEvent {
-	// Index existing footprints of size ≤ atomMax, preferring a flagless
-	// exemplar's observables.
+	// Index existing footprints of size ≤ atomMax by the observables of
+	// their first flagless exemplar, or else of their first exemplar.
 	atomObs := map[string][]int{}
-	flagless := map[string]bool{}
-	keyOf := func(dets []int) string {
-		b := make([]byte, 0, 4*len(dets))
-		for _, d := range dets {
-			b = append(b, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-		}
-		return string(b)
-	}
-	for _, ev := range events {
-		if len(ev.Dets) == 0 || len(ev.Dets) > atomMax {
-			continue
-		}
-		k := keyOf(ev.Dets)
-		if _, ok := atomObs[k]; !ok || (!flagless[k] && len(ev.Flags) == 0) {
-			atomObs[k] = ev.Obs
-			flagless[k] = len(ev.Flags) == 0
+	for _, flagged := range [2]bool{false, true} {
+		for _, ev := range events {
+			if len(ev.Dets) == 0 || len(ev.Dets) > atomMax || (len(ev.Flags) > 0) != flagged {
+				continue
+			}
+			k := atomKey(ev.Dets)
+			if _, ok := atomObs[k]; !ok {
+				atomObs[k] = ev.Obs
+			}
 		}
 	}
 	var out []dem.ProjEvent
@@ -69,24 +62,16 @@ func decomposeAtoms(events []dem.ProjEvent, atomMax, maxSize int) []dem.ProjEven
 		// Distribute observables: components inherit the obs of their
 		// existing footprint; any residual lands on the first component so
 		// the total stays equal to the event's obs.
-		residual := intSet(ev.Obs)
-		var compObs [][]int
-		for _, part := range parts {
-			obs := atomObs[keyOf(part)]
-			compObs = append(compObs, obs)
-			for _, o := range obs {
-				toggle(residual, o)
-			}
+		compObs := make([][]int, len(parts))
+		extra := ev.Obs
+		for i, part := range parts {
+			compObs[i] = atomObs[atomKey(part)]
+			extra = symDiff(extra, compObs[i])
 		}
-		extra := setToSorted(residual)
 		for i, part := range parts {
 			obs := compObs[i]
-			if i == 0 && len(extra) > 0 {
-				merged := intSet(obs)
-				for _, o := range extra {
-					toggle(merged, o)
-				}
-				obs = setToSorted(merged)
+			if i == 0 {
+				obs = symDiff(obs, extra)
 			}
 			out = append(out, dem.ProjEvent{
 				Dets:  append([]int(nil), part...),
@@ -103,13 +88,6 @@ func decomposeAtoms(events []dem.ProjEvent, atomMax, maxSize int) []dem.ProjEven
 // footprints of size ≤ atomMax, preferring larger atoms first so that
 // data-like triples beat pair splits.
 func matchDecomposition(dets []int, atomMax int, atomObs map[string][]int) [][]int {
-	keyOf := func(ds []int) string {
-		b := make([]byte, 0, 4*len(ds))
-		for _, d := range ds {
-			b = append(b, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-		}
-		return string(b)
-	}
 	var parts [][]int
 	used := make([]bool, len(dets))
 	var rec func() bool
@@ -134,7 +112,7 @@ func matchDecomposition(dets []int, atomMax int, atomObs map[string][]int) [][]i
 		}
 		for size := atomMax; size >= 1; size-- {
 			if size == 1 {
-				if _, ok := atomObs[keyOf([]int{dets[first]})]; ok {
+				if _, ok := atomObs[atomKey([]int{dets[first]})]; ok {
 					parts = append(parts, []int{dets[first]})
 					if rec() {
 						return true
@@ -153,7 +131,7 @@ func matchDecomposition(dets []int, atomMax int, atomObs map[string][]int) [][]i
 						atom = append(atom, dets[fi])
 					}
 					sort.Ints(atom)
-					if _, ok := atomObs[keyOf(atom)]; !ok {
+					if _, ok := atomObs[atomKey(atom)]; !ok {
 						return false
 					}
 					for _, fi := range idx {
@@ -190,28 +168,28 @@ func matchDecomposition(dets []int, atomMax int, atomObs map[string][]int) [][]i
 	return nil
 }
 
-func intSet(s []int) map[int]bool {
-	m := map[int]bool{}
-	for _, v := range s {
-		m[v] = true
+// atomKey is the atom index's key for a sorted detector footprint.
+func atomKey(dets []int) string {
+	b := make([]byte, 0, 4*len(dets))
+	for _, d := range dets {
+		b = append(b, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
 	}
-	return m
+	return string(b)
 }
 
-func toggle(m map[int]bool, v int) {
-	if m[v] {
-		delete(m, v)
-	} else {
-		m[v] = true
+// symDiff returns the symmetric difference of two ascending id lists,
+// ascending.
+func symDiff(a, b []int) []int {
+	out := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			a, b = a[1:], b[1:]
+		}
 	}
-}
-
-func setToSorted(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	//fpnvet:orderless collect-then-sort: the slice is sorted before returning
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	return append(append(out, a...), b...)
 }

@@ -13,15 +13,6 @@ import (
 	"github.com/fpn/flagproxy/internal/dem"
 )
 
-// fuzzAtomKey mirrors decompose.go's keyOf encoding.
-func fuzzAtomKey(dets []int) string {
-	b := make([]byte, 0, 4*len(dets))
-	for _, d := range dets {
-		b = append(b, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-	}
-	return string(b)
-}
-
 // fuzzDecomposeInput decodes fuzz bytes into a footprint of nDets
 // distinct detectors, an atom dictionary (each remaining byte is a
 // bitmask selecting a subset of the footprint; subsets of size ≤
@@ -46,7 +37,7 @@ func fuzzDecomposeInput(data []byte) (dets []int, atomMax int, atomObs map[strin
 		if len(atom) == 0 || len(atom) > atomMax {
 			continue
 		}
-		k := fuzzAtomKey(atom)
+		k := atomKey(atom)
 		if _, dup := atomObs[k]; dup {
 			continue
 		}
@@ -78,7 +69,7 @@ func FuzzMatchDecomposition(f *testing.F) {
 				if len(part) == 0 || len(part) > atomMax {
 					t.Fatalf("part %v exceeds atomMax %d", part, atomMax)
 				}
-				if _, ok := atomObs[fuzzAtomKey(part)]; !ok {
+				if _, ok := atomObs[atomKey(part)]; !ok {
 					t.Fatalf("part %v is not a registered atom", part)
 				}
 				flat = append(flat, part...)

@@ -26,7 +26,7 @@ type classTable struct {
 
 	baseRep    []dem.ProjEvent // flagless representative per class
 	baseWeight []float64       // −log π of each flagless representative
-	flagIndex  map[int][]int   // flag detector -> class ids with members on it
+	flagIndex  [][]int         // flag detector -> class ids with members on it
 	empty      *dem.Class      // empty-syndrome equivalence class, if any
 }
 
@@ -37,7 +37,6 @@ func newClassTable(classes []dem.Class, pM float64, numObs int) classTable {
 		numObs:     numObs,
 		baseRep:    make([]dem.ProjEvent, len(classes)),
 		baseWeight: make([]float64, len(classes)),
-		flagIndex:  map[int][]int{},
 	}
 	for ci := range classes {
 		if len(classes[ci].Dets) == 0 {
@@ -46,12 +45,15 @@ func newClassTable(classes []dem.Class, pM float64, numObs int) classTable {
 		rep, p := classes[ci].Representative(nil, pM)
 		t.baseRep[ci] = rep
 		t.baseWeight[ci] = weightOf(p)
-		seen := map[int]bool{}
 		for _, m := range classes[ci].Members {
 			for _, f := range m.Flags {
-				if !seen[f] {
-					seen[f] = true
-					t.flagIndex[f] = append(t.flagIndex[f], ci)
+				for len(t.flagIndex) <= f {
+					t.flagIndex = append(t.flagIndex, nil)
+				}
+				// Classes are visited in order, so a flag already listing
+				// ci lists it last.
+				if l := t.flagIndex[f]; len(l) == 0 || l[len(l)-1] != ci {
+					t.flagIndex[f] = append(l, ci)
 				}
 			}
 		}
@@ -74,7 +76,7 @@ func weightOf(p float64) float64 {
 // ascending.
 func (t *classTable) readFlags(sc *DecodeScratch, defects []int32) {
 	for _, id := range defects {
-		if _, ok := t.flagIndex[int(id)]; ok {
+		if uint(id) < uint(len(t.flagIndex)) && len(t.flagIndex[id]) > 0 {
 			sc.flags.Add(int(id))
 		}
 	}
@@ -100,8 +102,8 @@ func (t *classTable) flagOverlay(sc *DecodeScratch) ([]dem.ProjEvent, []float64)
 // the whole projected graph for MWPM and Union-Find, or one restricted
 // lattice for Restriction.
 type matchGraph struct {
-	vertOf   map[int]int // detector -> vertex
-	boundary int         // boundary vertex index, or -1
+	vertOf   []int // detector -> vertex, or -1
+	boundary int   // boundary vertex index, or -1
 	edges    []graphEdge
 	adj      [][]int   // vertex -> edge ids
 	spt      *sptCache // base-weight shortest-path trees, one per source
@@ -113,7 +115,7 @@ type graphEdge struct {
 }
 
 func newMatchGraph() matchGraph {
-	return matchGraph{vertOf: map[int]int{}, boundary: -1}
+	return matchGraph{boundary: -1}
 }
 
 // newPairGraph builds the decoding graph of classes flipping at most two
@@ -148,15 +150,25 @@ func newPairGraph(classes []dem.Class) (matchGraph, error) {
 	return g, nil
 }
 
-// vertex returns det's vertex, adding it on first sight.
+// vertex returns det's vertex, adding it on first sight as vertex
+// len(g.adj): detector vertices come before the boundary vertex.
 func (g *matchGraph) vertex(det int) int {
-	vi, ok := g.vertOf[det]
-	if !ok {
-		vi = len(g.vertOf)
-		g.vertOf[det] = vi
+	for len(g.vertOf) <= det {
+		g.vertOf = append(g.vertOf, -1)
+	}
+	if g.vertOf[det] < 0 {
+		g.vertOf[det] = len(g.adj)
 		g.adj = append(g.adj, nil)
 	}
-	return vi
+	return g.vertOf[det]
+}
+
+// vert returns det's vertex, or -1 when the graph has none.
+func (g *matchGraph) vert(det int) int {
+	if uint(det) < uint(len(g.vertOf)) {
+		return g.vertOf[det]
+	}
+	return -1
 }
 
 // addEdge joins vertices u and v by an edge of class ci.
@@ -174,7 +186,7 @@ func (g *matchGraph) addEdge(u, v, ci int) {
 func (g *matchGraph) sources(buf []int, defects []int32) []int {
 	buf = buf[:0]
 	for _, id := range defects {
-		if vi, ok := g.vertOf[int(id)]; ok {
+		if vi := g.vert(int(id)); vi >= 0 {
 			buf = append(buf, vi)
 		}
 	}

@@ -194,8 +194,8 @@ func naiveMWPMDecode(d *MWPM, flagAll []int, detBit func(int) bool) ([]bool, err
 func naiveRestrictionDecode(d *Restriction, flagAll []int, detBit func(int) bool) ([]bool, error) {
 	correction := make([]bool, d.numObs)
 	var flipped []int
-	for det := range d.detColor {
-		if detBit(det) {
+	for det, c := range d.detColor {
+		if c >= 0 && detBit(det) {
 			flipped = append(flipped, det)
 		}
 	}
@@ -245,8 +245,8 @@ func naiveRestrictionDecode(d *Restriction, flagAll []int, detBit func(int) bool
 			if c != pair[0] && c != pair[1] {
 				continue
 			}
-			vi, ok := d.lat[li].vertOf[det]
-			if !ok {
+			vi := d.lat[li].vert(det)
+			if vi < 0 {
 				return nil, fmt.Errorf("decoder: flipped detector %d not in lattice %d", det, li)
 			}
 			src = append(src, vi)
@@ -331,7 +331,7 @@ func naiveRestrictionDecode(d *Restriction, flagAll []int, detBit func(int) bool
 		}
 	}
 	if len(residual) > 0 {
-		cover := d.coverResidual(residual, em, applied, weight)
+		cover := naiveCoverResidual(d, residual, em, applied, weight)
 		for _, ci := range cover {
 			applyClass(ci)
 		}
@@ -684,11 +684,110 @@ func minWeightPerfect(n int, edges []matchEdge) ([]int, error) {
 	return matching.MinWeightPerfect(n, qedges)
 }
 
-// vertDets lists each graph vertex's detector id, in vertex order.
-func vertDets(vertOf map[int]int) []int {
-	out := make([]int, len(vertOf))
+// vertDets lists each detector vertex's detector id, in vertex order.
+func vertDets(vertOf []int) []int {
+	n := 0
+	for _, vi := range vertOf {
+		if vi >= 0 {
+			n++
+		}
+	}
+	out := make([]int, n)
 	for det, vi := range vertOf {
-		out[vi] = det
+		if vi >= 0 {
+			out[vi] = det
+		}
 	}
 	return out
+}
+
+// naiveCoverResidual is the map-based residual repair the production
+// coverResidual replaced, kept as the independent reference: it
+// searches for a minimum-weight subset of classes whose
+// detector footprints XOR exactly to the residual. Candidates are the
+// classes fully contained in the residual, with classes selected by a
+// single lattice matching discounted so they are preferred. The residual
+// from near-distance fault patterns is small, so a bounded DFS suffices;
+// an empty result means the repair gave up.
+func naiveCoverResidual(d *Restriction, residual map[int]bool, em map[int]int, applied map[int]bool, weight []float64) []int {
+	type cand struct {
+		ci int
+		w  float64
+	}
+	var cands []cand
+	for ci := range d.classes {
+		if applied[ci] {
+			continue
+		}
+		if subset(d.classes[ci].Dets, residual) {
+			w := weight[ci]
+			if em[ci] > 0 {
+				w /= 4 // the matchings voted for this class once
+			}
+			cands = append(cands, cand{ci, w})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].w < cands[j].w })
+	if len(cands) > 40 {
+		cands = cands[:40]
+	}
+	target := map[int]bool{}
+	//fpnvet:orderless set copy; no order-dependent state
+	for det := range residual {
+		target[det] = true
+	}
+	var best []int
+	bestW := math.Inf(1)
+	var cur []int
+	var dfs func(idx int, rem map[int]bool, w float64)
+	dfs = func(idx int, rem map[int]bool, w float64) {
+		if w >= bestW {
+			return
+		}
+		if len(rem) == 0 {
+			best = append([]int(nil), cur...)
+			bestW = w
+			return
+		}
+		if idx >= len(cands) || len(cur) >= 6 {
+			return
+		}
+		for i := idx; i < len(cands); i++ {
+			c := cands[i]
+			if !subset(d.classes[c.ci].Dets, rem) {
+				continue
+			}
+			for _, det := range d.classes[c.ci].Dets {
+				toggle(rem, det)
+			}
+			cur = append(cur, c.ci)
+			dfs(i+1, rem, w+c.w)
+			cur = cur[:len(cur)-1]
+			for _, det := range d.classes[c.ci].Dets {
+				toggle(rem, det)
+			}
+		}
+	}
+	dfs(0, target, 0)
+	return best
+}
+
+func subset(dets []int, set map[int]bool) bool {
+	if len(dets) == 0 {
+		return false
+	}
+	for _, det := range dets {
+		if !set[det] {
+			return false
+		}
+	}
+	return true
+}
+
+func toggle(m map[int]bool, v int) {
+	if m[v] {
+		delete(m, v)
+	} else {
+		m[v] = true
+	}
 }

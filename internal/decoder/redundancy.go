@@ -2,7 +2,6 @@ package decoder
 
 import (
 	"slices"
-	"sort"
 
 	"github.com/fpn/flagproxy/internal/css"
 	"github.com/fpn/flagproxy/internal/dem"
@@ -19,8 +18,9 @@ func OperationallyRedundantFlags(model *dem.Model, basis css.Basis, pM float64) 
 	if err != nil {
 		return nil, err
 	}
-	// Events to probe per flag: any event whose footprint mentions it.
-	byFlag := map[int][]dem.Event{}
+	// Events to probe per flag: any event whose footprint mentions it,
+	// indexed by detector id, so the walk below lists flags ascending.
+	byFlag := make([][]dem.Event, len(model.Circuit.Detectors))
 	for _, ev := range model.Events {
 		rel := false
 		for _, d := range ev.Dets {
@@ -36,9 +36,8 @@ func OperationallyRedundantFlags(model *dem.Model, basis css.Basis, pM float64) 
 		}
 	}
 	var redundant []int
-	//fpnvet:orderless each flag is judged independently; redundant is sorted after the loop
 	for f, events := range byFlag {
-		same := true
+		same := len(events) > 0
 		for _, ev := range events {
 			// Masking the flag emulates an architecture that does not
 			// measure it: the flag never reads as fired.
@@ -55,6 +54,5 @@ func OperationallyRedundantFlags(model *dem.Model, basis css.Basis, pM float64) 
 			redundant = append(redundant, f)
 		}
 	}
-	sort.Ints(redundant)
 	return redundant, nil
 }

@@ -191,13 +191,22 @@ type ufScratch struct {
 	queue      []int
 }
 
-// restScratch is the Restriction decoder's arena.
+// restScratch is the Restriction decoder's arena. Its class- and
+// detector-indexed tables are all zero between shots: ensure clears the
+// entries the last shot touched, listed in picked and resDets.
 type restScratch struct {
-	flipped  []int
-	em       map[int]int
-	applied  map[int]bool
-	residual map[int]bool
-	latSrc   []int
+	flipped, latSrc []int
+
+	em       []int  // class -> lattice paths through it (EM)
+	applied  []bool // class -> applied by the lifting rule
+	picked   []int  // classes with a lattice path this shot
+	residual []bool // detector -> in the residual syndrome
+	nres     int    // detectors in the residual
+	resDets  []int  // detectors the residual held this shot
+
+	cands     []repairCand // the repair search's candidates,
+	cur, best []int        // partial and lightest covers,
+	bestW     float64      // and the lightest cover's weight
 }
 
 // bpScratch is the BP+OSD decoder's arena, shaped by the decoder's
