@@ -44,7 +44,25 @@ func sample(c *circuit.Circuit, shots int, seed int64) *sim.Result {
 // that need the circuit alone.
 func fpnCircuit(b *testing.B) *circuit.Circuit {
 	b.Helper()
-	code := catalogCode(b, "surface", 30)
+	return memoryCircuit(b, catalogCode(b, "surface", 30), 3)
+}
+
+// rotatedD7Circuit builds the rotated d=7 surface code's FPN memory-Z
+// circuit at p=1e-3 over seven rounds: the circuit decoded serves in the
+// planar-d7 benchmark workload.
+func rotatedD7Circuit(b *testing.B) *circuit.Circuit {
+	b.Helper()
+	l, err := surface.Rotated(7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return memoryCircuit(b, l.Code, 7)
+}
+
+// memoryCircuit builds code's FPN (fpnArch, greedy schedule) memory-Z
+// circuit at p=1e-3.
+func memoryCircuit(b *testing.B, code *css.Code, rounds int) *circuit.Circuit {
+	b.Helper()
 	net, err := fpn.Build(code, fpnArch)
 	if err != nil {
 		b.Fatal(err)
@@ -58,7 +76,7 @@ func fpnCircuit(b *testing.B) *circuit.Circuit {
 		b.Fatal(err)
 	}
 	nm := &noise.Model{P: 1e-3}
-	c, err := circuit.BuildMemory(circuit.MemorySpec{Plan: plan, Basis: css.Z, Rounds: 3, Noise: nm})
+	c, err := circuit.BuildMemory(circuit.MemorySpec{Plan: plan, Basis: css.Z, Rounds: rounds, Noise: nm})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,13 +152,42 @@ func BenchmarkDecoderUnionFindThroughput(b *testing.B) {
 	b.ReportMetric(ber, "BER")
 }
 
-// BenchmarkDEMExtraction measures detector-error-model extraction time
-// for the [[30,8,3,3]] FPN circuit (the one-off cost per experiment).
+// BenchmarkDEMExtraction measures detector-error-model extraction, the
+// one-off cost per experiment, on the [[30,8,3,3]] FPN circuit and on
+// the rotated d=7 FPN circuit.
 func BenchmarkDEMExtraction(b *testing.B) {
-	c := fpnCircuit(b)
+	for _, bc := range []struct {
+		name string
+		c    func(*testing.B) *circuit.Circuit
+	}{
+		{"hyper30-fpn", fpnCircuit},
+		{"rotated-d7-fpn", rotatedD7Circuit},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := bc.c(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dem.Extract(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecoderBuild measures the flagged MWPM decoder's
+// construction from the rotated d=7 FPN error model: projection,
+// hyperedge decomposition, equivalence classes and the matching graph.
+func BenchmarkDecoderBuild(b *testing.B) {
+	model, err := dem.Extract(rotatedD7Circuit(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dem.Extract(c); err != nil {
+		if _, err := decoder.NewMWPM(model, css.Z, 1e-3, true); err != nil {
 			b.Fatal(err)
 		}
 	}

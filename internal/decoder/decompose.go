@@ -8,7 +8,8 @@
 package decoder
 
 import (
-	"sort"
+	"encoding/binary"
+	"slices"
 
 	"github.com/fpn/flagproxy/internal/dem"
 )
@@ -28,19 +29,16 @@ func decompose(events []dem.ProjEvent, maxSize int) []dem.ProjEvent {
 func decomposeAtoms(events []dem.ProjEvent, atomMax, maxSize int) []dem.ProjEvent {
 	// Index existing footprints of size ≤ atomMax by the observables of
 	// their first flagless exemplar, or else of their first exemplar.
-	atomObs := map[string][]int{}
+	var atoms atomIndex
 	for _, flagged := range [2]bool{false, true} {
 		for _, ev := range events {
 			if len(ev.Dets) == 0 || len(ev.Dets) > atomMax || (len(ev.Flags) > 0) != flagged {
 				continue
 			}
-			k := atomKey(ev.Dets)
-			if _, ok := atomObs[k]; !ok {
-				atomObs[k] = ev.Obs
-			}
+			atoms.add(ev.Dets, ev.Obs)
 		}
 	}
-	var out []dem.ProjEvent
+	out := make([]dem.ProjEvent, 0, len(events))
 	for _, ev := range events {
 		if len(ev.Dets) <= atomMax {
 			out = append(out, ev)
@@ -49,7 +47,7 @@ func decomposeAtoms(events []dem.ProjEvent, atomMax, maxSize int) []dem.ProjEven
 		if len(ev.Dets) > maxSize {
 			continue
 		}
-		parts := matchDecomposition(ev.Dets, atomMax, atomObs)
+		parts := matchDecomposition(ev.Dets, atomMax, &atoms)
 		if parts == nil {
 			// Fallback: consecutive pairs in sorted order.
 			for i := 0; i+1 < len(ev.Dets); i += 2 {
@@ -65,7 +63,7 @@ func decomposeAtoms(events []dem.ProjEvent, atomMax, maxSize int) []dem.ProjEven
 		compObs := make([][]int, len(parts))
 		extra := ev.Obs
 		for i, part := range parts {
-			compObs[i] = atomObs[atomKey(part)]
+			compObs[i], _ = atoms.lookup(part)
 			extra = symDiff(extra, compObs[i])
 		}
 		for i, part := range parts {
@@ -84,12 +82,48 @@ func decomposeAtoms(events []dem.ProjEvent, atomMax, maxSize int) []dem.ProjEven
 	return out
 }
 
-// matchDecomposition searches for a partition of dets into existing
-// footprints of size ≤ atomMax, preferring larger atoms first so that
+// atomIndex maps each registered atom, a sorted detector footprint, to
+// the observables of its exemplar.
+type atomIndex struct {
+	keys dem.Interner
+	obs  [][]int // by atom id
+	key  []byte
+}
+
+// add registers dets with observables obs unless dets is registered.
+func (a *atomIndex) add(dets, obs []int) {
+	if _, fresh := a.keys.Intern(a.keyOf(dets)); fresh {
+		a.obs = append(a.obs, obs)
+	}
+}
+
+// lookup returns the observables of atom dets, or false if dets is no
+// registered atom.
+func (a *atomIndex) lookup(dets []int) ([]int, bool) {
+	id, ok := a.keys.Lookup(a.keyOf(dets))
+	if !ok {
+		return nil, false
+	}
+	return a.obs[id], true
+}
+
+// keyOf encodes dets, each id as four little-endian bytes, into the
+// index's reused key buffer.
+func (a *atomIndex) keyOf(dets []int) []byte {
+	a.key = a.key[:0]
+	for _, d := range dets {
+		a.key = binary.LittleEndian.AppendUint32(a.key, uint32(d))
+	}
+	return a.key
+}
+
+// matchDecomposition searches for a partition of dets into registered
+// atoms of size ≤ atomMax, preferring larger atoms first so that
 // data-like triples beat pair splits.
-func matchDecomposition(dets []int, atomMax int, atomObs map[string][]int) [][]int {
+func matchDecomposition(dets []int, atomMax int, atoms *atomIndex) [][]int {
 	var parts [][]int
 	used := make([]bool, len(dets))
+	atom := make([]int, 0, atomMax)
 	var rec func() bool
 	rec = func() bool {
 		first := -1
@@ -112,7 +146,7 @@ func matchDecomposition(dets []int, atomMax int, atomObs map[string][]int) [][]i
 		}
 		for size := atomMax; size >= 1; size-- {
 			if size == 1 {
-				if _, ok := atomObs[atomKey([]int{dets[first]})]; ok {
+				if _, ok := atoms.lookup(dets[first : first+1]); ok {
 					parts = append(parts, []int{dets[first]})
 					if rec() {
 						return true
@@ -126,18 +160,18 @@ func matchDecomposition(dets []int, atomMax int, atomObs map[string][]int) [][]i
 			var choose func(pos, start int) bool
 			choose = func(pos, start int) bool {
 				if pos == size-1 {
-					atom := []int{dets[first]}
+					atom = append(atom[:0], dets[first])
 					for _, fi := range idx {
 						atom = append(atom, dets[fi])
 					}
-					sort.Ints(atom)
-					if _, ok := atomObs[atomKey(atom)]; !ok {
+					slices.Sort(atom)
+					if _, ok := atoms.lookup(atom); !ok {
 						return false
 					}
 					for _, fi := range idx {
 						used[fi] = true
 					}
-					parts = append(parts, atom)
+					parts = append(parts, slices.Clone(atom))
 					if rec() {
 						return true
 					}
@@ -166,15 +200,6 @@ func matchDecomposition(dets []int, atomMax int, atomObs map[string][]int) [][]i
 		return parts
 	}
 	return nil
-}
-
-// atomKey is the atom index's key for a sorted detector footprint.
-func atomKey(dets []int) string {
-	b := make([]byte, 0, 4*len(dets))
-	for _, d := range dets {
-		b = append(b, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-	}
-	return string(b)
 }
 
 // symDiff returns the symmetric difference of two ascending id lists,

@@ -3,7 +3,9 @@ package decoder
 // Naive reference decoders: byte-for-byte copies of the pre-optimization
 // Decode bodies (container/heap Dijkstra per shot, fresh allocations
 // everywhere, package-level blossom matching). The differential harness
-// asserts the cached/scratch hot paths are bit-identical to these.
+// asserts the cached/scratch hot paths are bit-identical to these. The
+// map-based hyperedge decomposition at the end is the reference for
+// decompose.go's interned atom index.
 
 import (
 	"container/heap"
@@ -790,4 +792,159 @@ func toggle(m map[int]bool, v int) {
 	} else {
 		m[v] = true
 	}
+}
+
+// refDecomposeAtoms is the map-based hyperedge decomposition
+// decomposeAtoms must agree with exactly: atoms indexed by a string key
+// of their detector footprint.
+func refDecomposeAtoms(events []dem.ProjEvent, atomMax, maxSize int) []dem.ProjEvent {
+	// Index existing footprints of size ≤ atomMax by the observables of
+	// their first flagless exemplar, or else of their first exemplar.
+	atomObs := map[string][]int{}
+	for _, flagged := range [2]bool{false, true} {
+		for _, ev := range events {
+			if len(ev.Dets) == 0 || len(ev.Dets) > atomMax || (len(ev.Flags) > 0) != flagged {
+				continue
+			}
+			k := refAtomKey(ev.Dets)
+			if _, ok := atomObs[k]; !ok {
+				atomObs[k] = ev.Obs
+			}
+		}
+	}
+	var out []dem.ProjEvent
+	for _, ev := range events {
+		if len(ev.Dets) <= atomMax {
+			out = append(out, ev)
+			continue
+		}
+		if len(ev.Dets) > maxSize {
+			continue
+		}
+		parts := refMatchDecomposition(ev.Dets, atomMax, atomObs)
+		if parts == nil {
+			// Fallback: consecutive pairs in sorted order.
+			for i := 0; i+1 < len(ev.Dets); i += 2 {
+				parts = append(parts, []int{ev.Dets[i], ev.Dets[i+1]})
+			}
+			if len(ev.Dets)%2 == 1 {
+				parts = append(parts, []int{ev.Dets[len(ev.Dets)-1]})
+			}
+		}
+		// Distribute observables: components inherit the obs of their
+		// existing footprint; any residual lands on the first component so
+		// the total stays equal to the event's obs.
+		compObs := make([][]int, len(parts))
+		extra := ev.Obs
+		for i, part := range parts {
+			compObs[i] = atomObs[refAtomKey(part)]
+			extra = symDiff(extra, compObs[i])
+		}
+		for i, part := range parts {
+			obs := compObs[i]
+			if i == 0 {
+				obs = symDiff(obs, extra)
+			}
+			out = append(out, dem.ProjEvent{
+				Dets:  append([]int(nil), part...),
+				Flags: ev.Flags,
+				Obs:   append([]int(nil), obs...),
+				P:     ev.P,
+			})
+		}
+	}
+	return out
+}
+
+// refMatchDecomposition searches for a partition of dets into existing
+// footprints of size ≤ atomMax, preferring larger atoms first so that
+// data-like triples beat pair splits.
+func refMatchDecomposition(dets []int, atomMax int, atomObs map[string][]int) [][]int {
+	var parts [][]int
+	used := make([]bool, len(dets))
+	var rec func() bool
+	rec = func() bool {
+		first := -1
+		for i, u := range used {
+			if !u {
+				first = i
+				break
+			}
+		}
+		if first < 0 {
+			return true
+		}
+		used[first] = true
+		// Try atoms from largest to smallest containing dets[first].
+		var free []int
+		for j := first + 1; j < len(dets); j++ {
+			if !used[j] {
+				free = append(free, j)
+			}
+		}
+		for size := atomMax; size >= 1; size-- {
+			if size == 1 {
+				if _, ok := atomObs[refAtomKey([]int{dets[first]})]; ok {
+					parts = append(parts, []int{dets[first]})
+					if rec() {
+						return true
+					}
+					parts = parts[:len(parts)-1]
+				}
+				continue
+			}
+			// Choose size-1 companions from free.
+			idx := make([]int, size-1)
+			var choose func(pos, start int) bool
+			choose = func(pos, start int) bool {
+				if pos == size-1 {
+					atom := []int{dets[first]}
+					for _, fi := range idx {
+						atom = append(atom, dets[fi])
+					}
+					sort.Ints(atom)
+					if _, ok := atomObs[refAtomKey(atom)]; !ok {
+						return false
+					}
+					for _, fi := range idx {
+						used[fi] = true
+					}
+					parts = append(parts, atom)
+					if rec() {
+						return true
+					}
+					parts = parts[:len(parts)-1]
+					for _, fi := range idx {
+						used[fi] = false
+					}
+					return false
+				}
+				for k := start; k < len(free); k++ {
+					idx[pos] = free[k]
+					if choose(pos+1, k+1) {
+						return true
+					}
+				}
+				return false
+			}
+			if choose(0, 0) {
+				return true
+			}
+		}
+		used[first] = false
+		return false
+	}
+	if rec() {
+		return parts
+	}
+	return nil
+}
+
+// refAtomKey is the atom index's key for a sorted detector footprint.
+func refAtomKey(dets []int) string {
+	b := make([]byte, 0, 4*len(dets))
+	for _, d := range dets {
+		b = append(b, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
+	}
+	return string(b)
 }

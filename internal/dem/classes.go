@@ -2,7 +2,6 @@ package dem
 
 import (
 	"math"
-	"sort"
 
 	"github.com/fpn/flagproxy/internal/css"
 )
@@ -23,34 +22,53 @@ type ProjEvent struct {
 // the empty-syndrome equivalence class, through which flag measurements
 // catch propagation errors that are invisible to the parity checks
 // (e.g. half-plaquette clusters on high-weight color checks).
+//
+// Merged probabilities fold in event order and the result is sorted by
+// footprint key, as Extract sorts events. Projected detector lists
+// share one backing array; flags and observables alias the model's.
 func (m *Model) Project(basis css.Basis) []ProjEvent {
-	merged := map[string]*ProjEvent{}
+	total := 0
 	for _, ev := range m.Events {
-		var dets []int
+		total += len(ev.Dets)
+	}
+	// Projected event id is m.Events[first]'s flags and observables with
+	// detectors arena[from:to], at probability p.
+	type merged struct {
+		first, from, to int32
+		p               float64
+	}
+	arena := make([]int, 0, total)
+	var evs []merged
+	var keys Interner
+	var key []byte
+	for i, ev := range m.Events {
+		from := len(arena)
 		for _, d := range ev.Dets {
 			if m.Circuit.Detectors[d].Basis == basis {
-				dets = append(dets, d)
+				arena = append(arena, d)
 			}
 		}
-		if len(dets) == 0 && len(ev.Flags) == 0 {
+		if len(arena) == from && len(ev.Flags) == 0 {
 			continue
 		}
-		key := footprintKey(dets, ev.Flags, ev.Obs)
-		if e, ok := merged[key]; ok {
-			e.P = e.P*(1-ev.P) + ev.P*(1-e.P)
-		} else {
-			merged[key] = &ProjEvent{Dets: dets, Flags: ev.Flags, Obs: ev.Obs, P: ev.P}
+		key = appendFootprintKey(key[:0], arena[from:], ev.Flags, ev.Obs)
+		if id, fresh := keys.Intern(key); !fresh {
+			arena = arena[:from]
+			e := &evs[id]
+			e.p = e.p*(1-ev.P) + ev.P*(1-e.p)
+			continue
 		}
+		evs = append(evs, merged{int32(i), int32(from), int32(len(arena)), ev.P})
 	}
-	keys := make([]string, 0, len(merged))
-	//fpnvet:orderless collect-then-sort: keys are sorted before emission
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]ProjEvent, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *merged[k])
+	out := make([]ProjEvent, len(evs))
+	for i, id := range keys.order() {
+		e := evs[id]
+		var dets []int
+		if e.to > e.from {
+			dets = arena[e.from:e.to:e.to]
+		}
+		ev := &m.Events[e.first]
+		out[i] = ProjEvent{Dets: dets, Flags: ev.Flags, Obs: ev.Obs, P: e.p}
 	}
 	return out
 }
@@ -63,18 +81,35 @@ type Class struct {
 }
 
 // BuildClasses groups projected events by their syndrome footprint.
+// Classes are numbered in order of their first member, and members
+// keep the events' order; all member lists share one backing array.
 func BuildClasses(events []ProjEvent) []Class {
-	index := map[string]int{}
-	var classes []Class
-	for _, ev := range events {
-		key := footprintKey(ev.Dets, nil, nil)
-		ci, ok := index[key]
-		if !ok {
-			ci = len(classes)
-			index[key] = ci
-			classes = append(classes, Class{Dets: ev.Dets})
+	var index Interner
+	var key []byte
+	classOf := make([]int32, len(events))
+	for i, ev := range events {
+		key = appendIDs(key[:0], ev.Dets)
+		classOf[i], _ = index.Intern(key)
+	}
+	// start[ci] is class ci's first slot in members.
+	start := make([]int, len(index.ends)+1)
+	for _, ci := range classOf {
+		start[ci+1]++
+	}
+	for ci := 1; ci < len(start); ci++ {
+		start[ci] += start[ci-1]
+	}
+	members := make([]ProjEvent, len(events))
+	classes := make([]Class, len(index.ends))
+	for ci := range classes {
+		classes[ci].Members = members[start[ci]:start[ci]:start[ci+1]]
+	}
+	for i, ci := range classOf {
+		c := &classes[ci]
+		if len(c.Members) == 0 {
+			c.Dets = events[i].Dets
 		}
-		classes[ci].Members = append(classes[ci].Members, ev)
+		c.Members = append(c.Members, events[i])
 	}
 	return classes
 }

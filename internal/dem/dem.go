@@ -9,13 +9,22 @@
 // It also implements the paper's error equivalence classes (§VI-B):
 // events are grouped by σ(e), and a flag-conditioned representative is
 // selected per class with the Equation 9 renormalization.
+//
+// The build makes no string per fault or per event. Each bit row keeps
+// the band of words it is non-zero on, and only the band is touched.
+// Extraction, projection, class building and the decoders' hyperedge
+// decomposition key footprints by one open-addressed interning table
+// (Interner), whose ids are dense and in first-seen order. Events and
+// projected events are ordered by sorting ids under the bytes of their
+// footprint keys (appendFootprintKey), the order the string-keyed maps
+// these replaced were sorted in, so every output is bit-identical to
+// theirs.
 package dem
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"github.com/fpn/flagproxy/internal/circuit"
 )
@@ -43,10 +52,17 @@ type Model struct {
 // an X or Z error on q injected right after the current op would flip.
 // A fault injected after op oi reads them before op oi is reversed; a
 // misread of measurement m flips measMask[m], the columns m feeds.
+// Every row keeps the band of words outside which it is zero, and the
+// pass touches only the band: a row of a circuit with many detectors
+// is non-zero on a few of its words.
 //
-// The backward pass stores one footprint id per fault. Probabilities
-// then fold per id in forward fault order, because the XOR-combine
-// p ← p(1−q) + q(1−p) is order-sensitive in floating point.
+// The backward pass interns each fault's footprint, the band's offset
+// and words, and stores one dense id per fault. Rows carry a hash that
+// is linear in their columns (the XOR of a fixed per-column hash over
+// the set columns), so a footprint's hash is the XOR of its rows'
+// hashes and costs nothing per word. Probabilities then fold per id in
+// forward fault order, because the XOR-combine p ← p(1−q) + q(1−p) is
+// order-sensitive in floating point.
 //
 // A fault that fires no detector or flag is dropped; if it flips an
 // observable instead, Extract fails (the circuit has distance 1).
@@ -71,20 +87,23 @@ func Extract(c *circuit.Circuit) (*Model, error) {
 	measMask := rows(c.NumMeas, w)
 	for d, det := range c.Detectors {
 		for _, m := range det.Meas {
-			flip(measMask[m], d)
+			measMask[m].flip(d)
 		}
 	}
 	for o, obs := range c.Observables {
 		for _, m := range obs {
-			flip(measMask[m], nd+o)
+			measMask[m].flip(nd + o)
 		}
+	}
+	for i := range measMask {
+		measMask[i].trim()
+		measMask[i].rehash()
 	}
 
 	sx, sz := rows(c.NumQubits, w), rows(c.NumQubits, w)
-	fp := make([]uint64, w)
-	key := make([]byte, 8*w)
-	ids := map[string]int32{}
-	var footprints []string // little-endian footprint words, by id
+	fp := rows(1, w)[0]
+	key := make([]byte, 0, 4+8*w)
+	var footprints Interner
 	faultID := make([]int32, nFaults)
 	undetectable := false
 	for oi := len(c.Ops) - 1; oi >= 0; oi-- {
@@ -92,24 +111,20 @@ func Extract(c *circuit.Circuit) (*Model, error) {
 		k := faultBase[oi]
 		eachFault(op, measBase[oi], func(s site) {
 			if s.meas >= 0 {
-				copy(fp, measMask[s.meas])
+				fp.copyFrom(&measMask[s.meas])
 			} else {
-				clear(fp)
-				xorPauli(fp, sx[s.qa], sz[s.qa], s.pa)
-				xorPauli(fp, sx[s.qb], sz[s.qb], s.pb)
+				fp.clear()
+				fp.xorPauli(&sx[s.qa], &sz[s.qa], s.pa)
+				fp.xorPauli(&sx[s.qb], &sz[s.qb], s.pb)
 			}
 			id := int32(-1)
-			if anyBelow(fp, nd) {
-				for i, v := range fp {
-					binary.LittleEndian.PutUint64(key[8*i:], v)
+			if fp.anyBelow(nd) {
+				key = binary.LittleEndian.AppendUint32(key[:0], uint32(fp.lo))
+				for _, v := range fp.w[fp.lo:fp.hi] {
+					key = binary.LittleEndian.AppendUint64(key, v)
 				}
-				var ok bool
-				if id, ok = ids[string(key)]; !ok {
-					id = int32(len(footprints))
-					footprints = append(footprints, string(key))
-					ids[footprints[id]] = id
-				}
-			} else if anyBelow(fp, 64*w) {
+				id, _ = footprints.intern(key, mix64(fp.h))
+			} else if fp.lo < fp.hi {
 				undetectable = true
 			}
 			faultID[k] = id
@@ -122,7 +137,7 @@ func Extract(c *circuit.Circuit) (*Model, error) {
 	}
 
 	// Folding from 0 gives the first fault's p exactly: 0·(1−p) + p·1.
-	prob := make([]float64, len(footprints))
+	prob := make([]float64, len(footprints.ends))
 	for oi, op := range c.Ops {
 		k := faultBase[oi]
 		eachFault(op, measBase[oi], func(s site) {
@@ -132,7 +147,7 @@ func Extract(c *circuit.Circuit) (*Model, error) {
 			k++
 		})
 	}
-	return &Model{Circuit: c, Events: events(c, footprints, prob)}, nil
+	return &Model{Circuit: c, Events: events(c, &footprints.keyList, prob)}, nil
 }
 
 // site is one elementary fault: Pauli pa on qubit qa times Pauli pb on
@@ -189,14 +204,14 @@ func eachFault(op circuit.Op, measBase int, f func(site)) {
 
 // reverseOp turns the sensitivities after op into those before it: the
 // transpose of the frame simulator's action. Noise ops act as identity.
-func reverseOp(op circuit.Op, measBase int, sx, sz, measMask [][]uint64) {
+func reverseOp(op circuit.Op, measBase int, sx, sz, measMask []row) {
 	switch op.Kind {
 	case circuit.OpCX:
 		// Forward, X spreads control→target and Z target→control.
 		for i := len(op.Pairs) - 1; i >= 0; i-- {
 			c, t := op.Pairs[i][0], op.Pairs[i][1]
-			xorInto(sx[c], sx[t])
-			xorInto(sz[t], sz[c])
+			sx[c].xor(&sx[t])
+			sz[t].xor(&sz[c])
 		}
 	case circuit.OpH:
 		for _, q := range op.Qubits {
@@ -204,139 +219,215 @@ func reverseOp(op circuit.Op, measBase int, sx, sz, measMask [][]uint64) {
 		}
 	case circuit.OpReset:
 		for _, q := range op.Qubits {
-			clear(sx[q])
-			clear(sz[q])
+			sx[q].clear()
+			sz[q].clear()
 		}
 	case circuit.OpMR, circuit.OpM:
 		for i := len(op.Qubits) - 1; i >= 0; i-- {
 			q := op.Qubits[i]
 			if op.Kind == circuit.OpMR {
-				copy(sx[q], measMask[measBase+i])
+				sx[q].copyFrom(&measMask[measBase+i])
 			} else {
 				// M leaves the X frame in place for later gates.
-				xorInto(sx[q], measMask[measBase+i])
+				sx[q].xor(&measMask[measBase+i])
 			}
-			clear(sz[q])
+			sz[q].clear()
 		}
 	}
 }
 
+// row is a bit row of columns with the band of words [lo, hi) outside
+// which it is zero, and its hash h, the XOR of colHash over its set
+// columns. An empty band is lo = len(w), hi = 0, so that the union of
+// bands is a min and a max.
+type row struct {
+	w      []uint64
+	lo, hi int
+	h      uint64
+}
+
 // rows returns n zeroed rows of w words carved from one allocation.
-func rows(n, w int) [][]uint64 {
+func rows(n, w int) []row {
 	flat := make([]uint64, n*w)
-	r := make([][]uint64, n)
+	r := make([]row, n)
 	for i := range r {
-		r[i] = flat[i*w : (i+1)*w : (i+1)*w]
+		r[i] = row{w: flat[i*w : (i+1)*w : (i+1)*w], lo: w}
 	}
 	return r
 }
 
-func flip(row []uint64, col int) { row[col/64] ^= 1 << (uint(col) % 64) }
+// flip toggles column col, widening the band to its word. It leaves h
+// stale until rehash.
+func (r *row) flip(col int) {
+	i := col / 64
+	r.w[i] ^= 1 << (uint(col) % 64)
+	r.lo, r.hi = min(r.lo, i), max(r.hi, i+1)
+}
 
-func xorInto(dst, src []uint64) {
-	for i := range dst {
-		dst[i] ^= src[i]
+// rehash recomputes h from the set columns.
+func (r *row) rehash() {
+	r.h = 0
+	for i := r.lo; i < r.hi; i++ {
+		for b := r.w[i]; b != 0; b &= b - 1 {
+			r.h ^= colHash(64*i + bits.TrailingZeros64(b))
+		}
 	}
+}
+
+// colHash is column col's pseudo-random 64-bit hash.
+func colHash(col int) uint64 { return mix64(uint64(col) + 0x9e3779b97f4a7c15) }
+
+// trim shrinks the band to the row's first and last non-zero words.
+func (r *row) trim() {
+	for r.lo < r.hi && r.w[r.lo] == 0 {
+		r.lo++
+	}
+	for r.hi > r.lo && r.w[r.hi-1] == 0 {
+		r.hi--
+	}
+	if r.lo == r.hi {
+		r.lo, r.hi = len(r.w), 0
+	}
+}
+
+func (r *row) clear() {
+	if r.lo < r.hi {
+		clear(r.w[r.lo:r.hi])
+	}
+	r.lo, r.hi, r.h = len(r.w), 0, 0
+}
+
+func (r *row) copyFrom(s *row) {
+	r.clear()
+	if s.lo < s.hi {
+		copy(r.w[s.lo:s.hi], s.w[s.lo:s.hi])
+	}
+	r.lo, r.hi, r.h = s.lo, s.hi, s.h
+}
+
+// xor adds s to r and trims r's band.
+func (r *row) xor(s *row) {
+	if s.lo >= s.hi {
+		return
+	}
+	dst := r.w[s.lo:s.hi]
+	for i, v := range s.w[s.lo:s.hi] {
+		dst[i] ^= v
+	}
+	r.lo, r.hi = min(r.lo, s.lo), max(r.hi, s.hi)
+	r.h ^= s.h
+	r.trim()
 }
 
 // xorPauli adds the footprint of Pauli p (0=I, 1=X, 2=Y, 3=Z) given the
 // qubit's X and Z sensitivity rows.
-func xorPauli(fp, x, z []uint64, p int) {
+func (r *row) xorPauli(x, z *row, p int) {
 	if p == 1 || p == 2 {
-		xorInto(fp, x)
+		r.xor(x)
 	}
 	if p == 2 || p == 3 {
-		xorInto(fp, z)
+		r.xor(z)
 	}
 }
 
-// anyBelow reports whether any of the first n columns of fp is set.
-func anyBelow(fp []uint64, n int) bool {
-	for i := 0; i < n/64; i++ {
-		if fp[i] != 0 {
+// anyBelow reports whether any of the first n columns is set.
+func (r *row) anyBelow(n int) bool {
+	for i := r.lo; i < min(r.hi, n/64); i++ {
+		if r.w[i] != 0 {
 			return true
 		}
 	}
-	return n%64 != 0 && fp[n/64]&(1<<(uint(n)%64)-1) != 0
+	return n%64 != 0 && r.lo <= n/64 && n/64 < r.hi && r.w[n/64]&(1<<(uint(n)%64)-1) != 0
 }
 
-// events decodes each footprint into an Event and returns them sorted
-// by footprint key. All index lists share one backing array.
-func events(c *circuit.Circuit, footprints []string, prob []float64) []Event {
-	if len(footprints) == 0 {
+// events decodes each interned footprint (its band offset, then its
+// words, little-endian) into an Event and returns them sorted by
+// footprint key. All index lists share one backing array.
+func events(c *circuit.Circuit, footprints *keyList, prob []float64) []Event {
+	n := len(footprints.ends)
+	if n == 0 {
 		return nil
 	}
+	// Three column masks split a footprint into its syndrome detectors,
+	// flags and observables.
 	nd := len(c.Detectors)
+	w := (nd + len(c.Observables) + 63) / 64
+	masks := make([]uint64, 3*w)
+	for col := 0; col < nd+len(c.Observables); col++ {
+		part := 0
+		if col >= nd {
+			part = 2
+		} else if c.Detectors[col].IsFlag {
+			part = 1
+		}
+		masks[part*w+col/64] |= 1 << (uint(col) % 64)
+	}
 	total := 0
-	for _, f := range footprints {
-		for i := 0; i < len(f); i++ {
-			total += bits.OnesCount8(f[i])
+	for id := range n {
+		f := footprints.key(int32(id))
+		for i := 4; i < len(f); i += 8 {
+			total += bits.OnesCount64(binary.LittleEndian.Uint64(f[i:]))
 		}
 	}
+	// Footprint id's dets, flags and obs are arena[at[0]:at[1]],
+	// arena[at[1]:at[2]] and arena[at[2]:at[3]], with at = ends[id].
 	arena := make([]int, 0, total)
-	keep := func(s []int) []int {
-		if len(s) == 0 {
-			return nil
-		}
-		from := len(arena)
-		arena = append(arena, s...)
-		return arena[from:len(arena):len(arena)]
-	}
-	evs := make([]Event, len(footprints))
-	keys := make([]string, len(footprints))
-	var dets, flags, obs []int
-	for id, f := range footprints {
-		dets, flags, obs = dets[:0], flags[:0], obs[:0]
-		// Byte i of a little-endian footprint holds columns 8i..8i+7.
-		for i := 0; i < len(f); i++ {
-			for b := f[i]; b != 0; b &= b - 1 {
-				col := 8*i + bits.TrailingZeros8(b)
-				switch {
-				case col >= nd:
-					obs = append(obs, col-nd)
-				case c.Detectors[col].IsFlag:
-					flags = append(flags, col)
-				default:
-					dets = append(dets, col)
+	ends := make([][4]int32, n)
+	var keys keyList
+	keys.arena = make([]byte, 0, 4*total+2*n)
+	keys.ends = make([]int32, 0, n)
+	var key []byte
+	for id := range n {
+		f := footprints.key(int32(id))
+		lo := int(binary.LittleEndian.Uint32(f))
+		at := &ends[id]
+		at[0] = int32(len(arena))
+		for part := range 3 {
+			sub := 0
+			if part == 2 {
+				sub = nd
+			}
+			for i := 4; i < len(f); i += 8 {
+				word := lo + (i-4)/8
+				for b := binary.LittleEndian.Uint64(f[i:]) & masks[part*w+word]; b != 0; b &= b - 1 {
+					arena = append(arena, 64*word+bits.TrailingZeros64(b)-sub)
 				}
 			}
+			at[part+1] = int32(len(arena))
 		}
-		evs[id] = Event{Dets: keep(dets), Flags: keep(flags), Obs: keep(obs), P: prob[id]}
-		keys[id] = footprintKey(dets, flags, obs)
+		key = appendFootprintKey(key[:0], arena[at[0]:at[1]], arena[at[1]:at[2]], arena[at[2]:at[3]])
+		keys.add(key)
 	}
-	sort.Sort(byKey{evs, keys})
+	list := func(from, to int32) []int {
+		if from == to {
+			return nil
+		}
+		return arena[from:to:to]
+	}
+	evs := make([]Event, n)
+	for i, id := range keys.order() {
+		at := ends[id]
+		evs[i] = Event{Dets: list(at[0], at[1]), Flags: list(at[1], at[2]), Obs: list(at[2], at[3]), P: prob[id]}
+	}
 	return evs
 }
 
-// byKey sorts events by their footprint keys.
-type byKey struct {
-	evs  []Event
-	keys []string
-}
-
-func (b byKey) Len() int           { return len(b.evs) }
-func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b byKey) Swap(i, j int) {
-	b.evs[i], b.evs[j] = b.evs[j], b.evs[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-}
-
-func footprintKey(dets, flags, obs []int) string {
-	b := make([]byte, 0, 4*(len(dets)+len(flags)+len(obs))+3)
-	for _, d := range dets {
-		b = appendInt(b, d)
-	}
+// appendFootprintKey appends the footprint key of an event: its
+// detectors, flags and observables, each id as four little-endian
+// bytes, the three lists separated by '|'. Events and projected events
+// are ordered by the bytes of this key.
+func appendFootprintKey(b []byte, dets, flags, obs []int) []byte {
+	b = appendIDs(b, dets)
 	b = append(b, '|')
-	for _, f := range flags {
-		b = appendInt(b, f)
-	}
+	b = appendIDs(b, flags)
 	b = append(b, '|')
-	for _, o := range obs {
-		b = appendInt(b, o)
-	}
-	return string(b)
+	return appendIDs(b, obs)
 }
 
-func appendInt(b []byte, v int) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// appendIDs appends each id as four little-endian bytes.
+func appendIDs(b []byte, ids []int) []byte {
+	for _, v := range ids {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return b
 }

@@ -205,12 +205,18 @@ func greedySchedule(t *testing.T, code *css.Code, opt fpn.Options) *schedule.Sch
 	return s
 }
 
-// TestExtractMatchesForwardReference holds the backward extractor to the
-// forward reference on the circuits the experiments build: rotated
+// namedCircuit is one circuit of the reference tests.
+type namedCircuit struct {
+	name string
+	c    *circuit.Circuit
+}
+
+// referenceCircuits returns the circuits the experiments build: rotated
 // d=3/5/7 under the canonical schedule and as an FPN, the [[30,8,3,3]]
-// hyperbolic FPN, both memory bases, two noise strengths, both idle
-// models, and code capacity.
-func TestExtractMatchesForwardReference(t *testing.T) {
+// hyperbolic FPN, both memory bases (Z only at d=7), two noise
+// strengths, both idle models, and code capacity.
+func referenceCircuits(t *testing.T) []namedCircuit {
+	t.Helper()
 	fpnOpt := fpn.Options{UseFlags: true, FlagSharing: true, MaxDegree: 4}
 	type family struct {
 		name      string
@@ -249,6 +255,7 @@ func TestExtractMatchesForwardReference(t *testing.T) {
 		rounds:    3,
 		bases:     []css.Basis{css.Z, css.X},
 	})
+	var out []namedCircuit
 	for _, fam := range fams {
 		for _, basis := range fam.bases {
 			for _, p := range []float64{1e-3, 5e-3} {
@@ -258,17 +265,28 @@ func TestExtractMatchesForwardReference(t *testing.T) {
 						continue
 					}
 					for _, fixed := range []bool{false, true} {
-						c := plannedCircuit(t, s, basis, fam.rounds, &noise.Model{P: p, FixedIdle: fixed})
-						if err := sameModel(c); err != nil {
-							t.Errorf("%s %s basis=%v p=%g fixedIdle=%v: %v", fam.name, sname, basis, p, fixed, err)
-						}
+						out = append(out, namedCircuit{
+							fmt.Sprintf("%s %s basis=%v p=%g fixedIdle=%v", fam.name, sname, basis, p, fixed),
+							plannedCircuit(t, s, basis, fam.rounds, &noise.Model{P: p, FixedIdle: fixed}),
+						})
 					}
 				}
-				c := plannedCircuit(t, fam.direct, basis, 0, &noise.Model{P: p})
-				if err := sameModel(c); err != nil {
-					t.Errorf("%s code capacity basis=%v p=%g: %v", fam.name, basis, p, err)
-				}
+				out = append(out, namedCircuit{
+					fmt.Sprintf("%s code capacity basis=%v p=%g", fam.name, basis, p),
+					plannedCircuit(t, fam.direct, basis, 0, &noise.Model{P: p}),
+				})
 			}
+		}
+	}
+	return out
+}
+
+// TestExtractMatchesForwardReference holds the backward extractor to the
+// forward reference on referenceCircuits.
+func TestExtractMatchesForwardReference(t *testing.T) {
+	for _, nc := range referenceCircuits(t) {
+		if err := sameModel(nc.c); err != nil {
+			t.Errorf("%s: %v", nc.name, err)
 		}
 	}
 }
@@ -341,7 +359,9 @@ func fuzzCircuit(data []byte) *circuit.Circuit {
 		return ms
 	}
 	for n := next() % 6; n > 0; n-- {
-		c.Detectors = append(c.Detectors, circuit.Detector{Meas: meas(), IsFlag: next()%2 == 1})
+		// Alternate bases, so that projection onto either one keeps some.
+		basis := [2]css.Basis{css.Z, css.X}[len(c.Detectors)%2]
+		c.Detectors = append(c.Detectors, circuit.Detector{Meas: meas(), IsFlag: next()%2 == 1, Basis: basis})
 	}
 	for n := next() % 3; n > 0; n-- {
 		c.Observables = append(c.Observables, meas())
@@ -350,7 +370,9 @@ func fuzzCircuit(data []byte) *circuit.Circuit {
 }
 
 // FuzzExtractMatchesForward compares the two extractors on arbitrary
-// small circuits: the same model, or an error from both.
+// small circuits: the same model, or an error from both. Projection onto
+// either basis and the classes of each projection must match their
+// map-based references too.
 func FuzzExtractMatchesForward(f *testing.F) {
 	// An X fault before a mid-circuit M whose qubit then controls a CX
 	// and is measured again; an H; a flag; two observables.
@@ -370,8 +392,14 @@ func FuzzExtractMatchesForward(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := sameModel(fuzzCircuit(data)); err != nil {
+		c := fuzzCircuit(data)
+		if err := sameModel(c); err != nil {
 			t.Fatal(err)
+		}
+		if m, err := Extract(c); err == nil {
+			if err := sameProjection(m); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
